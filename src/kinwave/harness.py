@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,7 @@ import scipy.stats
 from . import io
 from .dispersion import (
     Couplings,
+    DispersionGrid,
     build_dispersion,
     couplings_nn,
     decay_exponent,
@@ -369,11 +371,17 @@ def _estimate_rows(observables, means, se_re, se_im, count):
 
 
 def _load_stage(path: Path, cfg_hash: str):
-    """Stage artifact if present and written for this exact config, else None."""
+    """Stage artifact if present, readable and written for this exact config,
+    else None.  An unreadable file (say, one cut off by a killed writer) is
+    reported and treated as missing, so it is recomputed and overwritten."""
     if not path.exists():
         return None
-    payload = io.read_json(path)
-    if payload.get("config_hash") != cfg_hash:
+    try:
+        payload = io.read_json(path)
+    except (OSError, ValueError) as exc:
+        warnings.warn(f"unreadable stage {path} ({exc}); recomputing", stacklevel=2)
+        return None
+    if not isinstance(payload, dict) or payload.get("config_hash") != cfg_hash:
         return None
     return payload
 
@@ -436,6 +444,31 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
     )
 
 
+def _reference_stage(cfg: StudyConfig, grid: DispersionGrid, obj: dict,
+                     cfg_hash: str, base: Path | None, resume: bool) -> dict:
+    """Collision-table and Boltzmann-reference stages of run_convergence.
+
+    The table is local to this stage so that it, and the sampler envelope
+    cached on it, is freed before the lattice rungs run.
+    """
+    short = cfg_hash[:12]
+    table_path = base / f"table_{short}.npz" if base else None
+    if table_path is not None and resume and table_path.exists():
+        table = io.load_collision_table(table_path)
+    else:
+        table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)
+        if table_path is not None:
+            io.save_collision_table(table_path, table, config_obj=obj)
+
+    ref_path = base / f"reference_{short}.json" if base else None
+    ref = _load_stage(ref_path, cfg_hash) if (ref_path and resume) else None
+    if ref is None:
+        ref = _boltzmann_reference(cfg, table)
+        if ref_path is not None:
+            io.write_json(ref_path, {**ref, **io.artifact_metadata(obj, cfg.master_seed)})
+    return ref
+
+
 def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
                     resume: bool = True) -> ConvergenceReport:
     """Run the ladder study; with out_dir set, persist and resume per stage."""
@@ -451,20 +484,7 @@ def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
         io.write_json(base / "study.json",
                       {"config": obj, **io.artifact_metadata(obj, cfg.master_seed)})
 
-    table_path = base / f"table_{short}.npz" if base else None
-    if table_path is not None and resume and table_path.exists():
-        table = io.load_collision_table(table_path)
-    else:
-        table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)
-        if table_path is not None:
-            io.save_collision_table(table_path, table, config_obj=obj)
-
-    ref_path = base / f"reference_{short}.json" if base else None
-    ref = _load_stage(ref_path, cfg_hash) if (ref_path and resume) else None
-    if ref is None:
-        ref = _boltzmann_reference(cfg, table)
-        if ref_path is not None:
-            io.write_json(ref_path, {**ref, **io.artifact_metadata(obj, cfg.master_seed)})
+    ref = _reference_stage(cfg, grid, obj, cfg_hash, base, resume)
     ref_means = [complex(re, im) for re, im in ref["means"]]
 
     rungs: list[EpsilonRung] = []

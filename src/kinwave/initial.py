@@ -54,10 +54,10 @@ class WKBPacket:
         """Macroscopic packet extent used by box-size guards (6 sigma)."""
         return 6.0 * self.sigma
 
-    @property
-    def support_halfwidth(self) -> float:
-        """Half-width of the tabulation box for position sampling."""
-        return 6.0 * self.sigma
+    def sample_positions(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n exact draws from the normalized |h(x)|^2 ~ exp(-|x|^2 / sigma^2),
+        which is N(0, sigma^2 / 2) on each axis; shape (n, 3)."""
+        return rng.normal(scale=self.sigma / np.sqrt(2.0), size=(n, 3))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ version, config hash, master seed.  Hashes are SHA-256 over a canonical JSON
 encoding (sorted keys, no whitespace), so two configs hash equal iff their
 JSON documents are equal up to key order.  Numeric tables go to CSV with
 mandatory headers, UTF-8 and '.' decimals; everything structured goes to JSON.
+Every writer fills a temporary file beside its target and renames it into
+place, so an interrupted write never leaves a truncated artifact behind.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -45,6 +49,22 @@ __all__ = [
 # binary snapshot layout: magic, L, epsilon, time, seed; then q and v payloads
 _SNAP_MAGIC = b"KWS1"
 _SNAP_HEADER = struct.Struct("<4sIddq")
+
+
+@contextmanager
+def _atomic_open(path: Path, mode: str, **kwargs):
+    """File handle on a temporary sibling of path, renamed over path once the
+    block completes; on failure the temporary file is removed and path is
+    left as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def canonical_json(obj: Any) -> str:
@@ -100,7 +120,7 @@ def save_state(
     path = Path(path)
     L = state.q.shape[0]
     header = _SNAP_HEADER.pack(_SNAP_MAGIC, L, float(epsilon), float(time), int(seed))
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(state.q, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(state.v, dtype="<f8").tobytes())
@@ -137,6 +157,8 @@ def load_state(path: str | Path) -> tuple[LatticeState, dict]:
 def save_collision_table(path: str | Path, table: CollisionTable, config_obj: Any = None) -> Path:
     """Cache a rate table; the dispersion grid is rebuilt from couplings on load."""
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
     meta = {
         "format": "kinwave-table-1",
         "couplings": couplings_to_obj(table.grid.couplings),
@@ -146,13 +168,14 @@ def save_collision_table(path: str | Path, table: CollisionTable, config_obj: An
         "xi2": table.xi2,
         **artifact_metadata(config_obj, 0),
     }
-    np.savez_compressed(
-        path,
-        sigma=table.sigma,
-        max_neighbor_diff=np.float64(table.max_neighbor_diff),
-        meta=np.frombuffer(canonical_json(meta).encode("utf-8"), dtype=np.uint8),
-    )
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+    with _atomic_open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            sigma=table.sigma,
+            max_neighbor_diff=np.float64(table.max_neighbor_diff),
+            meta=np.frombuffer(canonical_json(meta).encode("utf-8"), dtype=np.uint8),
+        )
+    return path
 
 
 def load_collision_table(path: str | Path) -> CollisionTable:
@@ -183,8 +206,7 @@ def _json_default(obj: Any):
 
 def write_json(path: str | Path, payload: Any) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False,
                   default=_json_default)
         fh.write("\n")
@@ -199,8 +221,7 @@ def read_json(path: str | Path) -> Any:
 def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> Path:
     """CSV with mandatory header, UTF-8, '.' decimals (repr of Python floats)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames), extrasaction="raise")
         writer.writeheader()
         for row in rows:

@@ -7,12 +7,16 @@ The elastic collision kernel on the M^3 wavevector grid is
 with the Lorentzian regularization delta_beta(r) = (beta/pi) / (r^2 + beta^2);
 the total rate sigma(k) is its grid average over k'.  Detailed balance
 omega(k)^2 R(k, k') = omega(k')^2 R(k', k) is an algebraic identity of this
-kernel.  Two solvers consume the same table: a jump-process simulator (free
-flight at group velocity grad omega / 2 pi, exponential waiting times,
-rejection-sampled jumps) and a truncated collision-expansion evaluator whose
-m-th term integrates the same jump chain over the time simplex.  The module
-also carries the spectral transport machinery: the gate function whose real
-diagonal part recovers sigma/2, and the simplex kernels K_N.
+kernel.  R depends on k and k' only through omega(k) and omega(k'), so the
+jump law is sampled exactly by rejection against a bound that is constant on
+pairs of omega shells (see ShellEnvelope).  Two solvers consume the same
+table: a jump-process simulator (free flight at group velocity
+grad omega / 2 pi, exponential waiting times, shell-envelope jumps) and a
+truncated collision-expansion evaluator whose m-th term integrates the same
+jump chain over the time simplex.  Initial packet positions are exact
+Gaussian draws.  The module also carries the spectral transport machinery:
+the gate function whose real diagonal part recovers sigma/2, and the simplex
+kernels K_N.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .initial import PointSource, WKBPacket
 
 __all__ = [
     "CollisionTable",
+    "ShellEnvelope",
     "ParticleEnsemble",
     "TransportEstimate",
     "default_beta",
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+# the shell-to-shell bound has n_shells^2 entries; past this many shells the
+# shells widen beyond beta/4 and acceptance falls, but the law stays exact
+_MAX_SHELLS = 512
 
 
 def default_beta(grid: DispersionGrid) -> float:
@@ -75,10 +84,62 @@ class CollisionTable:
     def sigma_max(self) -> float:
         return float(self.sigma.max())
 
-    @property
-    def rejection_cap(self) -> float:
-        # unnormalized jump weight u(k') = omega'^2 / ((omega - omega')^2 + beta^2)
-        return self.grid.omega_max**2 / self.beta**2
+    @cached_property
+    def shell_envelope(self) -> "ShellEnvelope":
+        return ShellEnvelope.build(self.grid, self.beta)
+
+
+@dataclass(frozen=True)
+class ShellEnvelope:
+    """Bound on the unnormalized jump weight
+
+        u(k, k') = omega'^2 / ((omega - omega')^2 + beta^2),  omega' = omega(k'),
+
+    that is constant on pairs of omega shells.  The grid omega is cut into
+    equal-width shells no wider than beta/4 (at most _MAX_SHELLS of them) and
+    empty shells are dropped.  Shell b holds the flat grid indices
+    order[start[b] : start[b] + count[b]], and cap[a, b] >= u on shell a x
+    shell b.  row_cdf holds, for each source shell a, the cumulative law of
+    the proposal shell b (probability proportional to count[b] * cap[a, b]),
+    offset by a so that all rows search as one sorted array.
+    """
+
+    shell_of: np.ndarray   # (n,) shell of each flat grid index
+    order: np.ndarray      # (n,) flat grid indices grouped by shell
+    start: np.ndarray      # (B,) first position of each shell in order
+    count: np.ndarray      # (B,) members per shell, all >= 1
+    cap: np.ndarray        # (B, B) bound on u over shell a x shell b
+    row_cdf: np.ndarray    # (B * B,) a + cumulative proposal law of row a
+
+    @staticmethod
+    def build(grid: DispersionGrid, beta: float) -> "ShellEnvelope":
+        w = grid.omega_flat
+        span = grid.omega_max - grid.omega_min
+        n_bins = min(_MAX_SHELLS, max(1, math.ceil(4.0 * span / beta)))
+        edges = np.linspace(grid.omega_min, grid.omega_max, n_bins + 1)
+        raw = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, n_bins - 1)
+        _, shell_of = np.unique(raw, return_inverse=True)
+        order = np.argsort(shell_of, kind="stable")
+        count = np.bincount(shell_of)
+        start = np.concatenate(([0], np.cumsum(count)[:-1]))
+        lo = np.minimum.reduceat(w[order], start)
+        hi = np.maximum.reduceat(w[order], start)
+
+        # For fixed omega' the largest u over omega in [lo_a, hi_a] takes the
+        # omega nearest to omega'.  That maximum rises in omega' up to
+        # hi_a + beta^2/hi_a and falls beyond it, so over shell b it sits at
+        # this peak clipped to [lo_b, hi_b].  The factor absorbs rounding.
+        beta2 = beta**2
+        peak = np.clip((hi + beta2 / hi)[:, None], lo[None, :], hi[None, :])
+        gap = np.maximum(lo[:, None] - peak, 0.0) + np.maximum(peak - hi[:, None], 0.0)
+        cap = peak**2 / (gap**2 + beta2) * (1.0 + 1e-12)
+
+        cdf = np.cumsum(count * cap, axis=1)
+        cdf /= cdf[:, -1:]
+        cdf[:, -1] = 1.0
+        row_cdf = (cdf + np.arange(count.size)[:, None]).reshape(-1)
+        return ShellEnvelope(shell_of=shell_of, order=order, start=start,
+                             count=count, cap=cap, row_cdf=row_cdf)
 
 
 def build_collision_table(
@@ -147,26 +208,33 @@ def sample_jump(table: CollisionTable, k_idx, rng: np.random.Generator):
     """Draw post-collision wavevectors: k' with probability proportional to
     R(k, k') over the grid.
 
-    Rejection sampling against the uniform proposal with the global weight cap
-    omega_max^2/beta^2.  Aborts when the running acceptance rate degenerates
-    below 1e-4 (the kernel is then effectively singular for this grid).
+    Exact rejection sampling against the table's shell envelope: each
+    proposal draws a shell b with probability proportional to
+    count[b] * cap[a(k), b], then a member of b uniformly (rng.integers, one
+    draw per proposal), and accepts with probability u(k, k') / cap[a(k), b].
+    Aborts when the running acceptance rate degenerates below 1e-4.
     """
     scalar = np.isscalar(k_idx) or np.ndim(k_idx) == 0
     k_arr = np.atleast_1d(np.asarray(k_idx, dtype=np.int64))
     out = np.empty_like(k_arr)
-    wk = table.grid.omega_flat[k_arr]
-    cap = table.rejection_cap
+    env = table.shell_envelope
+    n_shells = env.count.size
     w = table.grid.omega_flat
+    wk = w[k_arr]
+    src = env.shell_of[k_arr]
     beta2 = table.beta**2
     active = np.arange(k_arr.size)
     n_prop = 0
     n_acc = 0
     while active.size:
         m = active.size
-        prop = rng.integers(0, table.grid.n_points, size=m)
+        a = src[active]
+        pos = np.searchsorted(env.row_cdf, a + rng.random(m), side="right")
+        b = np.minimum(pos - a * n_shells, n_shells - 1)
+        prop = env.order[env.start[b] + rng.integers(0, env.count[b])]
         wp = w[prop]
         u = wp**2 / ((wk[active] - wp) ** 2 + beta2)
-        acc = rng.random(m) * cap < u
+        acc = rng.random(m) * env.cap[a, b] < u
         out[active[acc]] = prop[acc]
         active = active[~acc]
         n_prop += m
@@ -186,7 +254,7 @@ class ParticleEnsemble:
     x: np.ndarray          # (n, 3) float
     k_idx: np.ndarray      # (n,) int flat grid indices
     weights: np.ndarray    # (n,) float
-    M: int                 # wavevector grid resolution (index -> k = m/M)
+    grid: DispersionGrid   # wavevector grid the indices refer to
 
     @property
     def n(self) -> int:
@@ -194,42 +262,7 @@ class ParticleEnsemble:
 
     def k(self) -> np.ndarray:
         """Wavevectors in [0,1)^3, shape (n, 3)."""
-        M = self.M
-        idx = self.k_idx
-        return np.stack([(idx // (M * M)) % M, (idx // M) % M, idx % M], axis=-1) / M
-
-
-def _sample_piecewise_linear(
-    nodes: np.ndarray, values: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF draws from piecewise-linear densities on a uniform node
-    axis.  values: (n, m+1), one density row per draw; u uniform in [0,1)."""
-    step = nodes[1] - nodes[0]
-    cell_mass = 0.5 * (values[:, :-1] + values[:, 1:]) * step
-    cdf = np.cumsum(cell_mass, axis=1)
-    total = cdf[:, -1]
-    if np.any(total <= 0.0):
-        raise SamplingError("vanishing density row in position sampling")
-    target = u * total
-    idx = np.minimum(
-        np.sum(cdf < target[:, None], axis=1), cell_mass.shape[1] - 1
-    )
-    rows = np.arange(values.shape[0])
-    prev = np.where(
-        idx > 0,
-        np.take_along_axis(cdf, np.maximum(idx - 1, 0)[:, None], 1)[:, 0],
-        0.0,
-    )
-    rem = target - prev
-    a = values[rows, idx]
-    b = values[rows, idx + 1]
-    slope = (b - a) / step
-    # in-cell offset s solves a s + slope s^2/2 = rem
-    lin = np.abs(slope) * step <= 1e-12 * np.maximum(a, 1e-300)
-    safe_slope = np.where(lin, 1.0, slope)
-    disc = np.sqrt(np.maximum(a**2 + 2.0 * safe_slope * rem, 0.0))
-    s = np.where(lin, rem / np.maximum(a, 1e-300), (disc - a) / safe_slope)
-    return nodes[idx] + np.clip(s, 0.0, step)
+        return self.grid.k_of(self.k_idx)
 
 
 def sample_initial(
@@ -241,59 +274,25 @@ def sample_initial(
 ) -> ParticleEnsemble:
     """Draw n particles from the limiting phase-space measure of the wave data.
 
-    Semiclassical packets: positions by conditional inverse-CDF on a tabulated
-    envelope-density grid (exact for the trilinear interpolant), wavevector
-    the nearest grid point to grad S / 2 pi at the sampled position.  Point
-    data: all particles at the origin, wavevectors drawn from the squared
-    Fourier amplitudes on the grid.  Weights are uniform and sum to total_mass.
+    Semiclassical packets: positions drawn exactly from the normalized
+    |h(x)|^2 (WKBPacket.sample_positions), wavevector the nearest grid point
+    to grad S / 2 pi at the sampled position.  Point data: all particles at
+    the origin, wavevectors drawn from the squared Fourier amplitudes on the
+    grid.  Weights are uniform and sum to total_mass.
     """
     if n < 1:
         raise ConfigError("need at least one particle")
     grid = table.grid
     if isinstance(initial, PointSource):
         x = np.zeros((n, 3))
-        axis = np.arange(grid.M, dtype=np.float64) / grid.M
-        k1, k2, k3 = np.meshgrid(axis, axis, axis, indexing="ij")
-        spectral = initial.fourier_weights(np.stack([k1, k2, k3], axis=-1)).reshape(-1)
+        spectral = initial.fourier_weights(grid.k_of(np.arange(grid.n_points)))
         total = spectral.sum()
         if total <= 0.0:
             raise ConfigError("point data has no spectral weight on the grid")
         k_idx = rng.choice(grid.n_points, size=n, p=spectral / total)
     elif isinstance(initial, WKBPacket):
-        half = initial.support_halfwidth
-        nc = 128
-        nodes = np.linspace(-half, half, nc + 1)
-        g1, g2, g3 = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-        rho = initial.envelope(np.stack([g1, g2, g3], axis=-1)) ** 2
-
-        trap = np.ones(nc + 1)
-        trap[0] = trap[-1] = 0.5
-        m01 = np.einsum("ijl,l->ij", rho, trap)          # marginal over axis 2
-        m0 = m01 @ trap                                   # marginal over axes 1, 2
-
-        x = np.empty((n, 3))
-        x[:, 0] = _sample_piecewise_linear(
-            nodes, np.broadcast_to(m0, (n, nc + 1)), rng.random(n)
-        )
-        step = nodes[1] - nodes[0]
-        t0 = np.clip((x[:, 0] - nodes[0]) / step, 0, nc * (1 - 1e-12))
-        i0 = t0.astype(np.int64)
-        f0 = (t0 - i0)[:, None]
-        cond1 = m01[i0] * (1.0 - f0) + m01[i0 + 1] * f0
-        x[:, 1] = _sample_piecewise_linear(nodes, cond1, rng.random(n))
-        t1 = np.clip((x[:, 1] - nodes[0]) / step, 0, nc * (1 - 1e-12))
-        i1 = t1.astype(np.int64)
-        f1 = (t1 - i1)[:, None]
-        cond2 = (
-            rho[i0, i1] * (1.0 - f0) * (1.0 - f1)
-            + rho[i0 + 1, i1] * f0 * (1.0 - f1)
-            + rho[i0, i1 + 1] * (1.0 - f0) * f1
-            + rho[i0 + 1, i1 + 1] * f0 * f1
-        )
-        x[:, 2] = _sample_piecewise_linear(nodes, cond2, rng.random(n))
-
-        k_cont = initial.grad_phase(x) / TWO_PI
-        k_idx = grid.index_of(k_cont)
+        x = initial.sample_positions(rng, n)
+        k_idx = grid.index_of(initial.grad_phase(x) / TWO_PI)
     else:
         raise ConfigError(f"unknown initial data spec {type(initial).__name__}")
 
@@ -301,7 +300,7 @@ def sample_initial(
         x=x,
         k_idx=np.asarray(k_idx, dtype=np.int64),
         weights=np.full(n, total_mass / n),
-        M=grid.M,
+        grid=grid,
     )
 
 
@@ -335,7 +334,7 @@ def simulate(
             k[jumpers] = sample_jump(table, k[jumpers], rng)
             counts[jumpers] += 1
         active = jumpers     # everyone else exhausted their remaining time
-    return ParticleEnsemble(x=x, k_idx=k, weights=ens.weights.copy(), M=ens.M), counts
+    return ParticleEnsemble(x=x, k_idx=k, weights=ens.weights.copy(), grid=ens.grid), counts
 
 
 @dataclass(frozen=True)
@@ -520,7 +519,7 @@ def dyson_characteristic(
     chain = [ens.k_idx]
     for _ in range(m_max + 1):
         chain.append(sample_jump(table, chain[-1], rng))
-    kcoord = [_k_of(idx, table.grid.M) for idx in chain]
+    kcoord = [table.grid.k_of(idx) for idx in chain]
     sig = [sigma[idx] for idx in chain]
     gvel = [grad[idx] for idx in chain]
 
@@ -572,7 +571,3 @@ def dyson_characteristic(
         tail = initial.mass * truncation_tail(table.sigma_max * t_bar, m_max)
     tail_ok = tail <= tail_tol * initial.mass
     return estimates, tail, tail_ok
-
-
-def _k_of(idx: np.ndarray, M: int) -> np.ndarray:
-    return np.stack([(idx // (M * M)) % M, (idx // M) % M, idx % M], axis=-1) / M

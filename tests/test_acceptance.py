@@ -46,7 +46,7 @@ def transport_report(accept_dir, study_report):
     )
 
 
-def test_criterion_01_dispersion_table():
+def test_criterion_01_norm_energy_identity():
     r = record(harness.criterion_1())
     assert r.passed, r.detail
 
@@ -66,12 +66,12 @@ def test_criterion_04_free_decay_rate():
     assert r.passed, r.detail
 
 
-def test_criterion_05_gate_shell_limit():
+def test_criterion_05_kernel_detailed_balance():
     r = record(harness.criterion_5())
     assert r.passed, r.detail
 
 
-def test_criterion_06_crossing_bound():
+def test_criterion_06_gate_vs_half_rate():
     r = record(harness.criterion_6())
     assert r.passed, r.detail
 
@@ -86,7 +86,7 @@ def test_criterion_08_solver_crosscheck():
     assert r.passed, r.detail
 
 
-def test_criterion_09_cumulant_identities():
+def test_criterion_09_simplex_kernel_properties():
     r = record(harness.criterion_9())
     assert r.passed, r.detail
 

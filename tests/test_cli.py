@@ -189,3 +189,24 @@ def test_help_exits_zero(capsys):
     assert cli.dispatch(["--help"]) == 0
     out = capsys.readouterr().out
     assert "subcommands" in out
+
+
+def test_compare_resumes_over_a_truncated_stage(tmp_path):
+    """A stage file cut off mid-write is recomputed with a warning, and the
+    resumed run reproduces the cold run's summary."""
+    out = tmp_path / "out"
+    doc = {"epsilons": [0.5, 0.25], "box_sizes": [16, 20], "t_bar": 0.1,
+           "realizations": 2, "M": 8, "particles": 2000, "master_seed": 7,
+           "output_dir": str(out)}
+    path = write_config(tmp_path, "c.json", doc)
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    cold = (out / "summary.json").read_bytes()
+    for stage in (*out.glob("rung_1_*.json"), *out.glob("reference_*.json")):
+        text = stage.read_bytes()
+        stage.write_bytes(text[: len(text) // 2])
+    with pytest.warns(UserWarning, match="unreadable stage"):
+        assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    assert (out / "summary.json").read_bytes() == cold
+    for stage in out.glob("*.json"):
+        io.read_json(stage)
+    assert not list(out.glob(".*.tmp"))

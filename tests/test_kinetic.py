@@ -6,6 +6,7 @@ import scipy.stats
 
 from kinwave.dispersion import build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
+from kinwave.harness import DEFAULT_STUDY
 from kinwave.initial import PointSource, WKBPacket
 from kinwave.kinetic import (
     build_collision_table,
@@ -94,6 +95,97 @@ def test_sample_jump_distribution():
         exp_m[-1] += acc_e
     _, p = scipy.stats.chisquare(obs_m, exp_m)
     assert p > 0.01
+
+
+def _pooled_chisquare_p(hits, expected):
+    """Chi-square p-value with cells pooled from the smallest expectation
+    upward to >= 5 expected counts; leftovers fold into the last cell."""
+    obs_m, exp_m = [], []
+    acc_o = acc_e = 0.0
+    for i in np.argsort(expected):
+        acc_o += hits[i]
+        acc_e += expected[i]
+        if acc_e >= 5.0:
+            obs_m.append(acc_o)
+            exp_m.append(acc_e)
+            acc_o = acc_e = 0.0
+    if acc_e > 0.0:
+        obs_m[-1] += acc_o
+        exp_m[-1] += acc_e
+    return scipy.stats.chisquare(obs_m, exp_m)[1]
+
+
+@pytest.mark.parametrize("M", [8, 12])
+def test_shell_envelope_bounds_every_pair(M):
+    """cap[shell(k), shell(k')] >= u(k, k') for every grid pair, at a narrow,
+    the resolution-tied and the widest admissible beta."""
+    grid = build_dispersion(C, M)
+    w = grid.omega_flat
+    for beta in (0.05, min(1.0, default_beta(grid)), 1.0):
+        env = build_collision_table(grid, beta=beta).shell_envelope
+        u = w[None, :] ** 2 / ((w[:, None] - w[None, :]) ** 2 + beta**2)
+        cap = env.cap[env.shell_of[:, None], env.shell_of[None, :]]
+        assert np.all(u <= cap)
+        assert np.all(env.count >= 1)
+        assert env.count.sum() == grid.n_points
+
+
+def test_sample_jump_law_from_shell_edge_and_band_top():
+    """The jump law is exact from a source on the lower edge of a shell and
+    from the omega_max corner, the upper edge of the top shell."""
+    env = TABLE.shell_envelope
+    mid = env.count.size // 2
+    sources = [
+        int(env.order[env.start[mid]]),
+        int(GRID.index_of(np.array([0.5, 0.5, 0.5]))),
+    ]
+    assert GRID.omega_flat[sources[1]] == GRID.omega_max
+    n = 20000
+    for seed, k_from in enumerate(sources):
+        hits = np.bincount(
+            sample_jump(TABLE, np.full(n, k_from), np.random.default_rng(seed)),
+            minlength=GRID.n_points,
+        )
+        probs = pair_rate(TABLE, k_from, np.arange(GRID.n_points))
+        assert _pooled_chisquare_p(hits, probs / probs.sum() * n) > 0.01
+
+
+class _CountingRng:
+    """Forwards to a Generator and counts integers() draws: one per proposal."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.proposals = 0
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.proposals += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_jump_acceptance_at_the_study_packet():
+    grid = build_dispersion(DEFAULT_STUDY.couplings, DEFAULT_STUDY.M)
+    table = build_collision_table(grid, beta=DEFAULT_STUDY.beta)
+    k_from = grid.index_of(np.asarray(DEFAULT_STUDY.initial.k0))
+    n = 20000
+    rng = _CountingRng(np.random.default_rng(3))
+    sample_jump(table, np.full(n, k_from), rng)
+    assert n / rng.proposals >= 0.5
+
+
+def test_packet_positions_are_gaussian():
+    """|h(x)|^2 ~ exp(-|x|^2 / sigma^2): N(0, sigma^2 / 2) on each axis."""
+    n = 20000
+    ens = sample_initial(PACKET, n, PACKET.mass, TABLE, np.random.default_rng(4))
+    scale = PACKET.sigma / np.sqrt(2.0)
+    for axis in range(3):
+        assert scipy.stats.kstest(ens.x[:, axis], "norm", args=(0.0, scale)).pvalue > 0.01
+    r2 = np.sum(ens.x**2, axis=1)
+    se = r2.std(ddof=1) / np.sqrt(n)
+    assert abs(r2.mean() - 1.5 * PACKET.sigma**2) <= 4.0 * se
 
 
 def test_sample_initial_mass_and_support():
