@@ -25,13 +25,11 @@ from .dispersion import build_dispersion, crossing_sweep, decay_exponent, find_c
 from .errors import ConfigError, FitError, SamplingError, StabilityError
 from .harness import (
     DEFAULT_OBSERVABLES,
-    DEFAULT_STUDY,
     StudyConfig,
     energy_transport_check,
     run_convergence,
-    _estimate_rows,
 )
-from .initial import PointSource, WKBPacket
+from .initial import initial_from_obj
 from .kinetic import (
     build_collision_table,
     characteristic_function,
@@ -110,15 +108,12 @@ _INITIAL = {
     ]
 }
 
+# each observable is the pair [p, n] of Observable.to_obj
 _OBSERVABLES = {
     "type": "array",
     "minItems": 1,
-    "items": {
-        "type": "object",
-        "properties": {"p": _VEC3, "n": _IVEC3},
-        "required": ["p", "n"],
-        "additionalProperties": False,
-    },
+    "items": {"type": "array", "prefixItems": [_VEC3, _IVEC3],
+              "minItems": 2, "maxItems": 2},
 }
 
 _COMMON = {
@@ -211,9 +206,6 @@ _SCHEMAS = {
             "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "xi2": {"type": "number", "exclusiveMinimum": 0},
             "particles": {"type": "integer", "minimum": 1000},
-            "m_max": {"type": "integer", "minimum": 0},
-            "dyson_samples": {"type": "integer", "minimum": 1000},
-            "crosscheck_xi2": {"type": "number", "exclusiveMinimum": 0},
             "resume": {"type": "boolean"},
             **_COMMON,
         },
@@ -254,60 +246,6 @@ _SCHEMAS = {
         "additionalProperties": False,
     },
 }
-
-
-# --------------------------------------------------------------------------
-# config -> domain objects
-
-
-def _initial_from_obj(obj: dict) -> WKBPacket | PointSource:
-    if obj["type"] == "wkb":
-        return WKBPacket(
-            k0=tuple(float(x) for x in obj["k0"]),
-            sigma=float(obj["sigma"]),
-            amplitude=float(obj.get("amplitude", 1.0)),
-        )
-    amps = {
-        tuple(int(c) for c in row["offset"]): complex(row["re"], row.get("im", 0.0))
-        for row in obj["amplitudes"]
-    }
-    return PointSource.from_dict(amps)
-
-
-def _observables_from_obj(obj: list | None) -> tuple[Observable, ...]:
-    if obj is None:
-        return DEFAULT_OBSERVABLES
-    return tuple(
-        Observable(p=tuple(float(x) for x in row["p"]),
-                   n=tuple(int(x) for x in row["n"]))
-        for row in obj
-    )
-
-
-def _study_from_obj(doc: dict) -> StudyConfig:
-    kwargs = {}
-    if "couplings" in doc:
-        kwargs["couplings"] = io.couplings_from_obj(doc["couplings"])
-    else:
-        kwargs["couplings"] = DEFAULT_STUDY.couplings
-    if "epsilons" in doc:
-        kwargs["epsilons"] = tuple(float(x) for x in doc["epsilons"])
-    if "box_sizes" in doc:
-        kwargs["box_sizes"] = tuple(int(x) for x in doc["box_sizes"])
-    if "initial" in doc:
-        kwargs["initial"] = _initial_from_obj(doc["initial"])
-    if "observables" in doc:
-        kwargs["observables"] = _observables_from_obj(doc["observables"])
-    for key in ("t_bar", "beta", "xi2", "crosscheck_xi2"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    for key in ("realizations", "M", "particles", "m_max", "dyson_samples",
-                "master_seed", "workers"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "distribution" in doc:
-        kwargs["distribution"] = doc["distribution"]
-    return StudyConfig(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +318,7 @@ def _cmd_kernel(doc: dict, out_dir: Path, dry: bool) -> None:
 
 def _cmd_simulate(doc: dict, out_dir: Path, dry: bool) -> None:
     c = io.couplings_from_obj(doc["couplings"])
-    initial = _initial_from_obj(doc["initial"])
+    initial = initial_from_obj(doc["initial"])
     L, eps = doc["L"], doc["eps"]
     psi = initial_wavefunction(initial, L, eps)
     if dry:
@@ -412,8 +350,9 @@ def _cmd_simulate(doc: dict, out_dir: Path, dry: bool) -> None:
 
 def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
     c = io.couplings_from_obj(doc["couplings"])
-    initial = _initial_from_obj(doc["initial"])
-    observables = _observables_from_obj(doc.get("observables"))
+    initial = initial_from_obj(doc["initial"])
+    observables = (tuple(Observable.from_obj(o) for o in doc["observables"])
+                   if "observables" in doc else DEFAULT_OBSERVABLES)
     if dry:
         return
     grid = build_dispersion(c, doc["M"])
@@ -424,12 +363,11 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
     ens, counts = simulate(ens, table, doc["t_bar"], rng)
     estimates = characteristic_function(ens, observables)
     io.write_estimates_csv(
-        out_dir / "boltzmann_estimates.csv",
-        _estimate_rows(observables,
-                       [e.mean for e in estimates],
-                       [e.stderr_re for e in estimates],
-                       [e.stderr_im for e in estimates],
-                       doc["particles"]),
+        out_dir / "boltzmann_estimates.csv", observables,
+        [e.mean for e in estimates],
+        [e.stderr_re for e in estimates],
+        [e.stderr_im for e in estimates],
+        doc["particles"],
     )
     io.write_json(out_dir / "boltzmann.json", {
         "t_bar": doc["t_bar"],
@@ -443,7 +381,7 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
 
 
 def _cmd_compare(doc: dict, out_dir: Path, dry: bool) -> None:
-    cfg = _study_from_obj(doc)
+    cfg = StudyConfig.from_obj(doc)
     grid = build_dispersion(cfg.couplings, cfg.M)
     cfg.validate(grid.max_group_speed)
     if dry:

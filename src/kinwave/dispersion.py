@@ -18,15 +18,14 @@ import numpy as np
 from .errors import ConfigError, FitError
 
 __all__ = [
+    "TWO_PI",
     "Couplings",
     "DispersionGrid",
-    "CouplingReport",
     "CriticalPoint",
     "DecayFit",
     "CrossingEstimate",
     "couplings_nn",
     "couplings_nn_squared",
-    "validate_couplings",
     "build_dispersion",
     "find_critical_points",
     "decay_exponent",
@@ -39,10 +38,24 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Couplings:
-    """Finite-range real couplings, stored as a canonical (offset, value) tuple."""
+    """Finite-range real couplings, stored as a canonical (offset, value) tuple.
+
+    The couplings must be symmetric, alpha(-y) = alpha(y): only then is the
+    symbol real, and alpha_hat keeps just its cosine part.
+    """
 
     entries: tuple[tuple[tuple[int, int, int], float], ...]
     tag: str | None = None
+
+    def __post_init__(self):
+        table = dict(self.entries)
+        for off, val in self.entries:
+            mirror = tuple(-c for c in off)
+            if table.get(mirror, 0.0) != val:
+                raise ConfigError(
+                    f"couplings are not symmetric: alpha{off} = {val} but "
+                    f"alpha{mirror} = {table.get(mirror, 0.0)}"
+                )
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -51,10 +64,6 @@ class Couplings:
     @cached_property
     def values(self) -> np.ndarray:
         return np.array([val for _, val in self.entries], dtype=np.float64)
-
-    @property
-    def support_radius(self) -> int:
-        return int(np.max(np.abs(self.offsets)))
 
     def alpha_hat(self, k: np.ndarray) -> np.ndarray:
         """Symbol at arbitrary k, shape (..., 3) -> (...).  Real by symmetry."""
@@ -144,60 +153,6 @@ def couplings_nn_squared(omega0: float) -> Couplings:
 
 
 @dataclass(frozen=True)
-class CouplingReport:
-    nonzero_offsite: bool       # some alpha(y) != 0 with y != 0
-    symmetric: bool             # alpha(-y) = alpha(y)
-    finite_range: bool          # finite support (always true for this storage)
-    positive_symbol: bool       # grid minimum of the symbol is positive
-    support_radius: int
-    min_alpha_hat: float
-    max_imag_rel: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.nonzero_offsite
-            and self.symmetric
-            and self.finite_range
-            and self.positive_symbol
-        )
-
-
-def validate_couplings(c: Couplings, resolution: int = 64) -> CouplingReport:
-    """Check the admissibility conditions on a k-grid of the given resolution.
-
-    The positivity check is the rigorous grid minimum of the symbol; it is
-    reported as-is, with no interpolation.  resolution below 8 is refused.
-    """
-    if resolution < 8:
-        raise ConfigError("validation resolution must be at least 8")
-    table = dict(c.entries)
-    nonzero_offsite = any(off != (0, 0, 0) and val != 0.0 for off, val in c.entries)
-    symmetric = all(
-        table.get(tuple(-x for x in off)) == val for off, val in c.entries
-    )
-
-    axis = np.arange(resolution, dtype=np.float64) / resolution
-    k1, k2, k3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    kpts = np.stack([k1, k2, k3], axis=-1).reshape(-1, 3)
-    phase = TWO_PI * (kpts @ c.offsets.T.astype(np.float64))
-    symbol = np.exp(-1j * phase) @ c.values.astype(np.complex128)
-    scale = np.max(np.abs(symbol))
-    max_imag_rel = float(np.max(np.abs(symbol.imag)) / scale) if scale > 0 else 0.0
-    min_alpha_hat = float(np.min(symbol.real))
-
-    return CouplingReport(
-        nonzero_offsite=nonzero_offsite,
-        symmetric=symmetric,
-        finite_range=True,
-        positive_symbol=min_alpha_hat > 0.0,
-        support_radius=c.support_radius,
-        min_alpha_hat=min_alpha_hat,
-        max_imag_rel=max_imag_rel,
-    )
-
-
-@dataclass(frozen=True)
 class DispersionGrid:
     """omega and its analytic gradient on the periodic grid k = m/M, m in {0..M-1}^3."""
 
@@ -219,10 +174,6 @@ class DispersionGrid:
     @property
     def n_points(self) -> int:
         return self.M**3
-
-    @cached_property
-    def k_axis(self) -> np.ndarray:
-        return np.arange(self.M, dtype=np.float64) / self.M
 
     def k_of(self, flat_index: np.ndarray) -> np.ndarray:
         """Wavevectors in [0,1)^3 for flat grid indices, shape (...,) -> (..., 3)."""

@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ import scipy.stats
 
 from . import io
 from .dispersion import (
+    TWO_PI,
     Couplings,
     DispersionGrid,
     build_dispersion,
@@ -45,7 +47,7 @@ from .dispersion import (
     find_critical_points,
 )
 from .errors import ConfigError, StabilityError
-from .initial import PointSource, WKBPacket
+from .initial import PointSource, WKBPacket, initial_from_obj
 from .kinetic import (
     build_collision_table,
     characteristic_function,
@@ -59,15 +61,15 @@ from .kinetic import (
     theta_plus,
 )
 from .lattice import (
-    XI_BAR,
     DisorderField,
     LatticeState,
+    check_mass_positivity,
     energy,
     evolve,
     evolve_free_spectral,
     from_wavefunction,
+    macro_grid,
     sample_disorder,
-    signed_axis,
     to_wavefunction,
     wavefunction_norm_squared,
     wkb_state,
@@ -105,8 +107,6 @@ __all__ = [
     "run_acceptance",
     "CRITERION_RUNNERS",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 
 def gaussian_bump(x: np.ndarray) -> np.ndarray:
@@ -168,43 +168,32 @@ class StudyConfig:
     dt: float | None = None
 
     def to_obj(self) -> dict:
-        """Canonical JSON document (the config hash is taken over this)."""
-        if isinstance(self.initial, WKBPacket):
-            init = {
-                "type": "wkb",
-                "k0": list(self.initial.k0),
-                "sigma": self.initial.sigma,
-                "amplitude": self.initial.amplitude,
-            }
-        else:
-            init = {
-                "type": "point",
-                "amplitudes": [
-                    {"offset": list(off), "re": v.real, "im": v.imag}
-                    for off, v in self.initial.amplitudes
-                ],
-            }
-        return {
-            "couplings": io.couplings_to_obj(self.couplings),
-            "couplings_tag": self.couplings.tag,
-            "epsilons": list(self.epsilons),
-            "box_sizes": list(self.box_sizes),
-            "t_bar": self.t_bar,
-            "realizations": self.realizations,
-            "distribution": self.distribution,
-            "initial": init,
-            "observables": [[list(o.p), list(o.n)] for o in self.observables],
-            "pairing": "exp(-|x|^2/2)",
-            "M": self.M,
-            "beta": self.beta,
-            "xi2": self.xi2,
-            "particles": self.particles,
-            "m_max": self.m_max,
-            "dyson_samples": self.dyson_samples,
-            "crosscheck_xi2": self.crosscheck_xi2,
-            "master_seed": self.master_seed,
-            "dt": self.dt,
-        }
+        """Canonical JSON document (the config hash is taken over this).
+        workers is left out: the estimates do not depend on it."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        obj.update(
+            couplings=io.couplings_to_obj(self.couplings),
+            couplings_tag=self.couplings.tag,
+            epsilons=list(self.epsilons),
+            box_sizes=list(self.box_sizes),
+            initial=self.initial.to_obj(),
+            observables=[o.to_obj() for o in self.observables],
+            pairing="exp(-|x|^2/2)",
+        )
+        return obj
+
+    @classmethod
+    def from_obj(cls, doc: dict) -> "StudyConfig":
+        """Study from a JSON document in the to_obj form, such as a compare
+        config.  Absent fields keep their defaults (couplings: those of
+        DEFAULT_STUDY), keys that name no field are ignored, and numbers are
+        coerced to each field's type, so 1 and 1.0 give the same config hash."""
+        kwargs = {"couplings": DEFAULT_STUDY.couplings}
+        for f in fields(cls):
+            if f.name in doc:
+                decode = _FIELD_DECODERS.get(f.name, type(f.default))
+                kwargs[f.name] = decode(doc[f.name])
+        return cls(**kwargs)
 
     def required_box(self, eps: float, max_group_speed: float) -> float:
         """Wrap-around guard: flight distance plus packet extent, x 1.5."""
@@ -218,14 +207,10 @@ class StudyConfig:
             raise ConfigError("epsilon ladder is empty")
         if any(e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilon ladder must be strictly decreasing")
-        xi_bar = XI_BAR.get(self.distribution)
-        if xi_bar is None:
-            raise ConfigError(f"unknown disorder distribution {self.distribution!r}")
         for eps in self.epsilons:
-            if not 0.0 < eps < xi_bar**-2:
-                raise ConfigError(
-                    f"eps = {eps} outside (0, xi_bar^-2) = (0, {xi_bar**-2:.4g})"
-                )
+            if eps <= 0.0:
+                raise ConfigError(f"eps = {eps} must be positive")
+            check_mass_positivity(self.distribution, eps)
         if not any(
             all(c == 0.0 for c in o.p) and all(c == 0 for c in o.n)
             for o in self.observables
@@ -242,6 +227,16 @@ class StudyConfig:
 
 
 DEFAULT_STUDY = StudyConfig(couplings=couplings_nn(1.0))
+
+# from_obj decoders of the fields whose JSON form is not their default's type
+_FIELD_DECODERS = {
+    "couplings": io.couplings_from_obj,
+    "epsilons": lambda v: tuple(float(x) for x in v),
+    "box_sizes": lambda v: tuple(int(x) for x in v),
+    "initial": initial_from_obj,
+    "observables": lambda v: tuple(Observable.from_obj(o) for o in v),
+    "dt": lambda v: None if v is None else float(v),
+}
 
 
 def _rng(master_seed: int, lane: int) -> np.random.Generator:
@@ -280,14 +275,22 @@ class EpsilonRung:
     pairing_w0: float
     elapsed: float
 
-    @property
-    def pairing_t_mean(self) -> float:
-        return float(np.mean(self.pairing_t))
+    def to_obj(self) -> dict:
+        return {**asdict(self), "means": _pairs(self.means)}
 
-    @property
-    def pairing_t_se(self) -> float:
-        arr = np.asarray(self.pairing_t)
-        return float(arr.std(ddof=1) / np.sqrt(arr.size))
+    @staticmethod
+    def from_obj(obj: dict) -> "EpsilonRung":
+        kwargs = {f.name: obj[f.name] for f in fields(EpsilonRung)}
+        return EpsilonRung(**{**kwargs, "means": _complexes(obj["means"])})
+
+
+def _pairs(values) -> list[list[float]]:
+    """Complex numbers in their JSON form [re, im]."""
+    return [[z.real, z.imag] for z in values]
+
+
+def _complexes(pairs) -> list[complex]:
+    return [complex(re, im) for re, im in pairs]
 
 
 @dataclass
@@ -295,12 +298,8 @@ class ConvergenceReport:
     config_hash: str
     master_seed: int
     observables: tuple[Observable, ...]
-    reference_means: list[complex]
-    reference_se: list[float]
-    reference_mass: float
-    ref_pairing_t: float
-    ref_pairing_0: float
-    ref_counts_mean: float
+    # the Boltzmann reference as _boltzmann_reference returns it
+    reference: dict
     rungs: list[EpsilonRung]
 
     @property
@@ -322,51 +321,12 @@ class ConvergenceReport:
 
     def to_obj(self) -> dict:
         return {
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "observables": [[list(o.p), list(o.n)] for o in self.observables],
-            "reference": {
-                "means": [[m.real, m.imag] for m in self.reference_means],
-                "se": self.reference_se,
-                "mass": self.reference_mass,
-                "pairing_t": self.ref_pairing_t,
-                "pairing_0": self.ref_pairing_0,
-                "counts_mean": self.ref_counts_mean,
-            },
-            "rungs": [
-                {
-                    "eps": r.eps,
-                    "L": r.L,
-                    "means": [[m.real, m.imag] for m in r.means],
-                    "se_re": r.se_re,
-                    "se_im": r.se_im,
-                    "count": r.count,
-                    "n_dropped": r.n_dropped,
-                    "bound_ok": r.bound_ok,
-                    "max_bound_excess": r.max_bound_excess,
-                    "norm_mean": r.norm_mean,
-                    "gaps": r.gaps,
-                    "err": r.err,
-                    "pairing_t": r.pairing_t,
-                    "pairing_0": r.pairing_0,
-                    "pairing_w0": r.pairing_w0,
-                    "elapsed": r.elapsed,
-                }
-                for r in self.rungs
-            ],
+            **asdict(self),
+            "observables": [o.to_obj() for o in self.observables],
+            "rungs": [r.to_obj() for r in self.rungs],
             "err": self.err,
             "monotone": self.monotone,
             "bound_ok": self.bound_ok,
-        }
-
-
-def _estimate_rows(observables, means, se_re, se_im, count):
-    for obs, m, sr, si in zip(observables, means, se_re, se_im):
-        yield {
-            "px": obs.p[0], "py": obs.p[1], "pz": obs.p[2],
-            "n1": obs.n[0], "n2": obs.n[1], "n3": obs.n[2],
-            "re_mean": m.real, "im_mean": m.imag,
-            "re_se": sr, "im_se": si, "realizations": count,
         }
 
 
@@ -386,6 +346,39 @@ def _load_stage(path: Path, cfg_hash: str):
     return payload
 
 
+def _stage(base: Path | None, name: str, meta: dict, resume: bool, compute) -> dict:
+    """One persisted stage of a study: with resume, the payload stored in
+    base/<name>_<hash12>.json for this config, else compute(), written there
+    with the artifact metadata meta.  Without base nothing is read or written."""
+    cfg_hash = meta["config_hash"]
+    path = base / f"{name}_{cfg_hash[:12]}.json" if base is not None else None
+    payload = _load_stage(path, cfg_hash) if (path is not None and resume) else None
+    if payload is not None:
+        return {k: v for k, v in payload.items() if k not in meta}
+    payload = compute()
+    if path is not None:
+        io.write_json(path, {**payload, **meta})
+    return payload
+
+
+def _collision_table(cfg: StudyConfig, grid: DispersionGrid, obj: dict,
+                     base: Path | None, resume: bool):
+    """The study's collision table, cached in base/table_<hash12>.npz.  A
+    cached table that cannot be read or was built for another config is
+    reported and rebuilt."""
+    cfg_hash = io.config_hash(obj)
+    path = base / f"table_{cfg_hash[:12]}.npz" if base is not None else None
+    if path is not None and resume and path.exists():
+        try:
+            return io.load_collision_table(path, cfg_hash)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            warnings.warn(f"unusable table {path} ({exc}); rebuilding", stacklevel=2)
+    table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)
+    if path is not None:
+        io.save_collision_table(path, table, config_obj=obj)
+    return table
+
+
 def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     rng = _rng(cfg.master_seed, _LANE_JUMP)
     ens0 = sample_initial(cfg.initial, cfg.particles, cfg.initial.mass, table, rng)
@@ -394,7 +387,7 @@ def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     ests = characteristic_function(ens_t, cfg.observables)
     pairing_t = 2.0 * float(np.sum(ens_t.weights * gaussian_bump(ens_t.x)))
     return {
-        "means": [[e.mean.real, e.mean.imag] for e in ests],
+        "means": _pairs(e.mean for e in ests),
         "se": [float(np.hypot(e.stderr_re, e.stderr_im)) for e in ests],
         "mass": float(ens_t.weights.sum()),
         "pairing_t": pairing_t,
@@ -403,30 +396,35 @@ def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     }
 
 
-def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
-              ref_mass: float) -> EpsilonRung:
-    eps = cfg.epsilons[rung_index]
-    L = cfg.box_sizes[rung_index]
-    t0 = _time.perf_counter()
-    run = RunConfig(
+def _rung_config(cfg: StudyConfig, rung_index: int, seed_index: int,
+                 convention: str) -> RunConfig:
+    """Lattice run of one rung of the ladder, on realization stream seed_index."""
+    return RunConfig(
         couplings=cfg.couplings,
-        L=L,
-        eps=eps,
+        L=cfg.box_sizes[rung_index],
+        eps=cfg.epsilons[rung_index],
         t_bar=cfg.t_bar,
         distribution=cfg.distribution,
         realizations=cfg.realizations,
         initial=cfg.initial,
-        seed=_eps_seed(cfg.master_seed, rung_index),
+        seed=_eps_seed(cfg.master_seed, seed_index),
         dt=cfg.dt,
         workers=cfg.workers,
         pairing=gaussian_bump,
+        convention=convention,
     )
+
+
+def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
+              ref_mass: float) -> EpsilonRung:
+    t0 = _time.perf_counter()
+    run = _rung_config(cfg, rung_index, rung_index, "rescaled")
     result = disorder_average(run, list(cfg.observables))
     means = [est.mean for est in result.estimates]
     gaps = [abs(m - r) for m, r in zip(means, ref_means)]
     return EpsilonRung(
-        eps=eps,
-        L=L,
+        eps=run.eps,
+        L=run.L,
         means=means,
         se_re=[est.stderr_re for est in result.estimates],
         se_im=[est.stderr_im for est in result.estimates],
@@ -444,110 +442,46 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
     )
 
 
-def _reference_stage(cfg: StudyConfig, grid: DispersionGrid, obj: dict,
-                     cfg_hash: str, base: Path | None, resume: bool) -> dict:
-    """Collision-table and Boltzmann-reference stages of run_convergence.
-
-    The table is local to this stage so that it, and the sampler envelope
-    cached on it, is freed before the lattice rungs run.
-    """
-    short = cfg_hash[:12]
-    table_path = base / f"table_{short}.npz" if base else None
-    if table_path is not None and resume and table_path.exists():
-        table = io.load_collision_table(table_path)
-    else:
-        table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)
-        if table_path is not None:
-            io.save_collision_table(table_path, table, config_obj=obj)
-
-    ref_path = base / f"reference_{short}.json" if base else None
-    ref = _load_stage(ref_path, cfg_hash) if (ref_path and resume) else None
-    if ref is None:
-        ref = _boltzmann_reference(cfg, table)
-        if ref_path is not None:
-            io.write_json(ref_path, {**ref, **io.artifact_metadata(obj, cfg.master_seed)})
-    return ref
-
-
 def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
                     resume: bool = True) -> ConvergenceReport:
     """Run the ladder study; with out_dir set, persist and resume per stage."""
     grid = build_dispersion(cfg.couplings, cfg.M)
     cfg.validate(grid.max_group_speed)
     obj = cfg.to_obj()
-    cfg_hash = io.config_hash(obj)
-    short = cfg_hash[:12]
+    meta = io.artifact_metadata(obj, cfg.master_seed)
     base = None
     if out_dir is not None:
         base = Path(out_dir)
         base.mkdir(parents=True, exist_ok=True)
-        io.write_json(base / "study.json",
-                      {"config": obj, **io.artifact_metadata(obj, cfg.master_seed)})
+        io.write_json(base / "study.json", {"config": obj, **meta})
 
-    ref = _reference_stage(cfg, grid, obj, cfg_hash, base, resume)
-    ref_means = [complex(re, im) for re, im in ref["means"]]
-
-    rungs: list[EpsilonRung] = []
-    for i, eps in enumerate(cfg.epsilons):
-        rung_path = base / f"rung_{i}_{short}.json" if base else None
-        payload = _load_stage(rung_path, cfg_hash) if (rung_path and resume) else None
-        if payload is not None:
-            rung = EpsilonRung(
-                eps=payload["eps"], L=payload["L"],
-                means=[complex(re, im) for re, im in payload["means"]],
-                se_re=payload["se_re"], se_im=payload["se_im"],
-                count=payload["count"], n_dropped=payload["n_dropped"],
-                bound_ok=payload["bound_ok"],
-                max_bound_excess=payload["max_bound_excess"],
-                norm_mean=payload["norm_mean"], gaps=payload["gaps"],
-                err=payload["err"], pairing_t=payload["pairing_t"],
-                pairing_0=payload["pairing_0"], pairing_w0=payload["pairing_w0"],
-                elapsed=payload["elapsed"],
-            )
-        else:
-            rung = _run_rung(cfg, i, ref_means, ref["mass"])
-            if rung_path is not None:
-                io.write_json(rung_path, {
-                    "eps": rung.eps, "L": rung.L,
-                    "means": [[m.real, m.imag] for m in rung.means],
-                    "se_re": rung.se_re, "se_im": rung.se_im,
-                    "count": rung.count, "n_dropped": rung.n_dropped,
-                    "bound_ok": rung.bound_ok,
-                    "max_bound_excess": rung.max_bound_excess,
-                    "norm_mean": rung.norm_mean, "gaps": rung.gaps,
-                    "err": rung.err, "pairing_t": rung.pairing_t,
-                    "pairing_0": rung.pairing_0, "pairing_w0": rung.pairing_w0,
-                    "elapsed": rung.elapsed,
-                    **io.artifact_metadata(obj, cfg.master_seed),
-                })
-        rungs.append(rung)
+    # the table, and the sampler envelope cached on it, lives only inside this
+    # stage, so it is freed before the lattice rungs run
+    ref = _stage(base, "reference", meta, resume, lambda: _boltzmann_reference(
+        cfg, _collision_table(cfg, grid, obj, base, resume)))
+    ref_means = _complexes(ref["means"])
+    rungs = [
+        EpsilonRung.from_obj(_stage(
+            base, f"rung_{i}", meta, resume,
+            lambda i=i: _run_rung(cfg, i, ref_means, ref["mass"]).to_obj()))
+        for i in range(len(cfg.epsilons))
+    ]
 
     report = ConvergenceReport(
-        config_hash=cfg_hash,
+        config_hash=meta["config_hash"],
         master_seed=cfg.master_seed,
         observables=cfg.observables,
-        reference_means=ref_means,
-        reference_se=list(ref["se"]),
-        reference_mass=ref["mass"],
-        ref_pairing_t=ref["pairing_t"],
-        ref_pairing_0=ref["pairing_0"],
-        ref_counts_mean=ref["counts_mean"],
+        reference=ref,
         rungs=rungs,
     )
     if base is not None:
-        io.write_json(base / "report.json",
-                      {**report.to_obj(), **io.artifact_metadata(obj, cfg.master_seed)})
-        io.write_estimates_csv(
-            base / "reference.csv",
-            _estimate_rows(cfg.observables, ref_means,
-                           ref["se"], ref["se"], cfg.particles),
-        )
+        io.write_json(base / "report.json", {**report.to_obj(), **meta})
+        io.write_estimates_csv(base / "reference.csv", cfg.observables, ref_means,
+                               ref["se"], ref["se"], cfg.particles)
         for rung in rungs:
-            io.write_estimates_csv(
-                base / f"estimates_eps_{rung.eps}.csv",
-                _estimate_rows(cfg.observables, rung.means,
-                               rung.se_re, rung.se_im, rung.count),
-            )
+            io.write_estimates_csv(base / f"estimates_eps_{rung.eps}.csv",
+                                   cfg.observables, rung.means, rung.se_re,
+                                   rung.se_im, rung.count)
     return report
 
 
@@ -673,14 +607,12 @@ def free_flight_check(
 
 def mean_inverse_mass_sq(distribution: str, eps: float) -> float:
     """E[(1 + sqrt(eps) xi)^-2] in closed form."""
-    if not 0.0 <= eps < XI_BAR.get(distribution, np.inf) ** -2:
-        raise ConfigError(f"eps = {eps} outside the mass-positivity range")
+    check_mass_positivity(distribution, eps)
     if distribution == "rademacher":
         return (1.0 + eps) / (1.0 - eps) ** 2
-    if distribution == "uniform":
-        # (2 sqrt(3 eps))^-1 * [ (1-sqrt(3 eps))^-1 - (1+sqrt(3 eps))^-1 ]
-        return 1.0 / (1.0 - 3.0 * eps)
-    raise ConfigError(f"unknown disorder distribution {distribution!r}")
+    # uniform, the only other law the check admits:
+    # (2 sqrt(3 eps))^-1 * [ (1-sqrt(3 eps))^-1 - (1+sqrt(3 eps))^-1 ]
+    return 1.0 / (1.0 - 3.0 * eps)
 
 
 def substitution_gap_exact(
@@ -701,9 +633,7 @@ def substitution_gap_exact(
     wave-side pairing 2 sum_y f(eps y) |psi_y|^2.
     """
     psi = initial_wavefunction(initial, L, eps)
-    s = eps * signed_axis(L)
-    x1, x2, x3 = np.meshgrid(s, s, s, indexing="ij")
-    fv = np.asarray(f(np.stack([x1, x2, x3], axis=-1)), dtype=np.float64)
+    fv = np.asarray(f(macro_grid(L, eps)), dtype=np.float64)
     offset = mean_inverse_mass_sq(distribution, eps) - 1.0
     gap = offset * 2.0 * float(np.sum(fv * psi.imag**2))
     reference = 2.0 * float(np.sum(fv * np.abs(psi) ** 2))
@@ -745,28 +675,13 @@ _TRANSPORT_SEED_OFFSET = 50
 
 def _transport_rung(cfg: StudyConfig, rung_index: int) -> dict:
     """One substitution-data rung: mean energy pairing at t_bar and 0."""
-    eps = cfg.epsilons[rung_index]
-    L = cfg.box_sizes[rung_index]
-    run = RunConfig(
-        couplings=cfg.couplings,
-        L=L,
-        eps=eps,
-        t_bar=cfg.t_bar,
-        distribution=cfg.distribution,
-        realizations=cfg.realizations,
-        initial=cfg.initial,
-        seed=_eps_seed(cfg.master_seed, _TRANSPORT_SEED_OFFSET + rung_index),
-        dt=cfg.dt,
-        workers=cfg.workers,
-        pairing=gaussian_bump,
-        convention="direct",
-    )
+    run = _rung_config(cfg, rung_index, _TRANSPORT_SEED_OFFSET + rung_index, "direct")
     result = disorder_average(run, [_MASS_OBSERVABLE])
     pair_t = np.asarray(result.pairing_t, dtype=np.float64)
     pair_0 = np.asarray(result.pairing_0, dtype=np.float64)
     return {
-        "eps": eps,
-        "L": L,
+        "eps": run.eps,
+        "L": run.L,
         "pairing_t_mean": float(pair_t.mean()),
         "pairing_t_se": float(pair_t.std(ddof=1) / np.sqrt(pair_t.size)),
         "pairing_0_mean": float(pair_0.mean()),
@@ -788,24 +703,19 @@ def energy_transport_check(
     """
     if report is None:
         report = run_convergence(cfg, out_dir=out_dir)
-    obj = cfg.to_obj()
-    cfg_hash = io.config_hash(obj)
+    meta = io.artifact_metadata(cfg.to_obj(), cfg.master_seed)
     base = None
     if out_dir is not None:
         base = Path(out_dir)
         base.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i in range(len(cfg.epsilons)):
-        path = base / f"transport_{i}_{cfg_hash[:12]}.json" if base else None
-        row = _load_stage(path, cfg_hash) if (path and resume) else None
-        if row is None:
-            row = _transport_rung(cfg, i)
-            if path is not None:
-                io.write_json(path, {**row, **io.artifact_metadata(obj, cfg.master_seed)})
-        rows.append(row)
+    rows = [
+        _stage(base, f"transport_{i}", meta, resume, lambda i=i: _transport_rung(cfg, i))
+        for i in range(len(cfg.epsilons))
+    ]
+    ref_t = report.reference["pairing_t"]
     micro_t = [r["pairing_t_mean"] for r in rows]
     micro_se = [r["pairing_t_se"] for r in rows]
-    gaps_t = [abs(m - report.ref_pairing_t) for m in micro_t]
+    gaps_t = [abs(m - ref_t) for m in micro_t]
     gap0 = []
     ref0 = []
     for eps, L in zip(cfg.epsilons, cfg.box_sizes):
@@ -820,7 +730,7 @@ def energy_transport_check(
         epsilons=tuple(cfg.epsilons),
         micro_t=micro_t,
         micro_t_se=micro_se,
-        ref_t=report.ref_pairing_t,
+        ref_t=ref_t,
         gaps_t=gaps_t,
         monotone_t=all(b < a for a, b in zip(gaps_t, gaps_t[1:])),
         gap0=gap0,

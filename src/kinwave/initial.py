@@ -3,6 +3,7 @@
 Both solvers must start from the same macroscopic data: the lattice gets the
 wave field itself (semiclassical packet or finitely supported amplitudes), the
 transport solver gets the matching limit measure on position x wavevector.
+Each spec has one JSON form: to_obj writes it, initial_from_obj reads it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dispersion import TWO_PI
 from .errors import ConfigError
 
-__all__ = ["WKBPacket", "PointSource"]
-
-TWO_PI = 2.0 * np.pi
+__all__ = ["WKBPacket", "PointSource", "initial_from_obj"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,10 @@ class WKBPacket:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ConfigError("packet width must be positive")
+
+    def to_obj(self) -> dict:
+        return {"type": "wkb", "k0": list(self.k0), "sigma": self.sigma,
+                "amplitude": self.amplitude}
 
     def envelope(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-np.sum(x**2, axis=-1) / (2.0 * self.sigma**2))
@@ -77,6 +81,12 @@ class PointSource:
         ))
         return PointSource(amplitudes=items)
 
+    def to_obj(self) -> dict:
+        return {"type": "point", "amplitudes": [
+            {"offset": list(off), "re": v.real, "im": v.imag}
+            for off, v in self.amplitudes
+        ]}
+
     def as_dict(self) -> dict[tuple[int, int, int], complex]:
         return dict(self.amplitudes)
 
@@ -97,3 +107,18 @@ class PointSource:
         for off, val in self.amplitudes:
             out += val * np.exp(-1j * TWO_PI * (k @ np.asarray(off, dtype=np.float64)))
         return np.abs(out) ** 2
+
+
+def initial_from_obj(obj: dict) -> WKBPacket | PointSource:
+    """Inverse of WKBPacket.to_obj / PointSource.to_obj; amplitude defaults
+    to 1 and a point amplitude's imaginary part to 0."""
+    if obj["type"] == "wkb":
+        return WKBPacket(
+            k0=tuple(float(x) for x in obj["k0"]),
+            sigma=float(obj["sigma"]),
+            amplitude=float(obj.get("amplitude", 1.0)),
+        )
+    return PointSource.from_dict({
+        tuple(int(c) for c in row["offset"]): complex(row["re"], row.get("im", 0.0))
+        for row in obj["amplitudes"]
+    })

@@ -178,11 +178,15 @@ def save_collision_table(path: str | Path, table: CollisionTable, config_obj: An
     return path
 
 
-def load_collision_table(path: str | Path) -> CollisionTable:
+def load_collision_table(path: str | Path, cfg_hash: str) -> CollisionTable:
+    """Read back a table cached for the config with hash cfg_hash; a table
+    saved for any other config is refused with ConfigError."""
     with np.load(path) as pack:
         meta = json.loads(bytes(pack["meta"]).decode("utf-8"))
         if meta.get("format") != "kinwave-table-1":
             raise ConfigError(f"{path}: unknown table format {meta.get('format')!r}")
+        if meta.get("config_hash") != cfg_hash:
+            raise ConfigError(f"{path}: table was built for another config")
         sigma = np.array(pack["sigma"], dtype=np.float64)
         max_nb = float(pack["max_neighbor_diff"])
     couplings = couplings_from_obj(meta["couplings"], tag=meta.get("tag"))
@@ -241,8 +245,22 @@ ESTIMATE_COLUMNS = (
 )
 
 
-def write_estimates_csv(path: str | Path, rows: Iterable[Mapping[str, Any]]) -> Path:
+def write_estimates_csv(
+    path: str | Path,
+    observables: Sequence[Any],
+    means: Sequence[complex],
+    se_re: Sequence[float],
+    se_im: Sequence[float],
+    count: int,
+) -> Path:
     """Characteristic-function estimates, one row per (p, n) observable."""
+    rows = (
+        {"px": obs.p[0], "py": obs.p[1], "pz": obs.p[2],
+         "n1": obs.n[0], "n2": obs.n[1], "n3": obs.n[2],
+         "re_mean": m.real, "im_mean": m.imag,
+         "re_se": sr, "im_se": si, "realizations": count}
+        for obs, m, sr, si in zip(observables, means, se_re, se_im)
+    )
     return write_csv(path, ESTIMATE_COLUMNS, rows)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 import scipy.signal
 
-from .dispersion import DispersionGrid
+from .dispersion import TWO_PI, DispersionGrid
 from .errors import ConfigError, SamplingError
 from .initial import PointSource, WKBPacket
 
@@ -51,8 +51,6 @@ __all__ = [
     "dyson_characteristic",
     "truncation_tail",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 # the shell-to-shell bound has n_shells^2 entries; past this many shells the
 # shells widen beyond beta/4 and acceptance falls, but the law stays exact

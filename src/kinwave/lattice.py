@@ -28,6 +28,8 @@ __all__ = [
     "LatticeState",
     "sample_disorder",
     "signed_axis",
+    "macro_grid",
+    "check_mass_positivity",
     "energy",
     "evolve",
     "evolve_free_spectral",
@@ -78,6 +80,12 @@ def signed_axis(L: int) -> np.ndarray:
     return np.fft.fftfreq(L, d=1.0 / L)
 
 
+def macro_grid(L: int, eps: float) -> np.ndarray:
+    """Macroscopic positions eps * y of the re-centred box sites, shape (L, L, L, 3)."""
+    s = eps * signed_axis(L)
+    return np.stack(np.meshgrid(s, s, s, indexing="ij"), axis=-1)
+
+
 @lru_cache(maxsize=16)
 def _multipliers(c: Couplings, L: int):
     """Symbol, dispersion and their rfft slices on the box grid k = m/L."""
@@ -98,19 +106,24 @@ def _multipliers(c: Couplings, L: int):
     }
 
 
-def _check_mass_positivity(disorder: DisorderField, eps: float) -> None:
+def check_mass_positivity(distribution: str, eps: float) -> None:
+    """Refuse an unknown disorder law, or an eps for which a site mass
+    (1 + sqrt(eps) xi)^-2 could reach zero: needs 0 <= eps, sqrt(eps) xi_bar < 1."""
+    xi_bar = XI_BAR.get(distribution)
+    if xi_bar is None:
+        raise ConfigError(f"unknown disorder distribution {distribution!r}")
     if eps < 0.0:
         raise ConfigError("eps must be nonnegative")
-    if np.sqrt(eps) * disorder.xi_bar >= 1.0:
+    if np.sqrt(eps) * xi_bar >= 1.0:
         raise ConfigError(
-            f"sqrt(eps)*xi_bar = {np.sqrt(eps) * disorder.xi_bar:.3f} >= 1; "
+            f"sqrt(eps)*xi_bar = {np.sqrt(eps) * xi_bar:.3f} >= 1 at eps = {eps}; "
             "masses would not stay positive"
         )
 
 
 def energy(state: LatticeState, disorder: DisorderField, eps: float, c: Couplings) -> float:
     """Total energy: kinetic with disordered masses plus the spectral quadratic form."""
-    _check_mass_positivity(disorder, eps)
+    check_mass_positivity(disorder.distribution, eps)
     L = state.L
     mul = _multipliers(c, L)
     mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
@@ -136,7 +149,7 @@ def evolve(
     xi_bar); any dt at or beyond the stability bound 2 / omega_max_eff is
     refused.  Blow-up (non-finite field values) aborts.
     """
-    _check_mass_positivity(disorder, eps)
+    check_mass_positivity(disorder.distribution, eps)
     if t_final < 0.0:
         raise ConfigError("t_final must be nonnegative")
     L = state.L
@@ -189,7 +202,7 @@ def to_wavefunction(
 ) -> np.ndarray:
     """psi_+ = (Omega q + i (1 + sqrt(eps) xi)^-1 v) / 2.  The minus component
     of a physical state is the complex conjugate and is never stored."""
-    _check_mass_positivity(disorder, eps)
+    check_mass_positivity(disorder.distribution, eps)
     mul = _multipliers(c, state.L)
     om_q = np.fft.irfftn(mul["omega_r"] * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
     return 0.5 * (om_q + 1j * state.v / (1.0 + np.sqrt(eps) * disorder.xi))
@@ -233,11 +246,6 @@ def evolve_free_spectral(state: LatticeState, c: Couplings, t: float) -> Lattice
     return LatticeState(q=q, v=2.0 * psi_t.imag)
 
 
-def _macro_coords(L: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = eps * signed_axis(L)
-    return np.meshgrid(s, s, s, indexing="ij")
-
-
 def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
     """Semiclassical wave data psi_+(y) = eps^(3/2) h(eps y) exp(i S(eps y)/eps).
 
@@ -247,8 +255,7 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
     """
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
-    x1, x2, x3 = _macro_coords(L, eps)
-    x = np.stack([x1, x2, x3], axis=-1)
+    x = macro_grid(L, eps)
     h = np.asarray(envelope(x), dtype=np.float64)
     s = np.asarray(phase(x), dtype=np.float64)
     psi = eps**1.5 * h * np.exp(1j * s / eps)
@@ -265,14 +272,12 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
 def envelope_mass_outside(L: int, eps: float, envelope) -> float:
     """Fraction of sum |h(eps y)|^2 carried by sites of the doubled box that
     fall outside the original one.  Cheap tightness diagnostic for wave data."""
-    s2 = eps * signed_axis(2 * L)
-    x1, x2, x3 = np.meshgrid(s2, s2, s2, indexing="ij")
-    h2 = np.asarray(envelope(np.stack([x1, x2, x3], axis=-1)), dtype=np.float64)
+    h2 = np.asarray(envelope(macro_grid(2 * L, eps)), dtype=np.float64)
     total = float(np.sum(h2**2))
     if total == 0.0:
         raise ConfigError("envelope vanishes identically")
-    half = eps * (L / 2.0)
-    inside = (np.abs(x1) < half) & (np.abs(x2) < half) & (np.abs(x3) < half)
+    near = np.abs(eps * signed_axis(2 * L)) < eps * (L / 2.0)
+    inside = near[:, None, None] & near[None, :, None] & near[None, None, :]
     return 1.0 - float(np.sum((h2**2)[inside])) / total
 
 

@@ -19,16 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import Couplings
+from .dispersion import TWO_PI, Couplings
 from .errors import ConfigError, StabilityError
 from .initial import PointSource, WKBPacket
 from .lattice import (
     DisorderField,
     LatticeState,
-    XI_BAR,
-    energy,
+    check_mass_positivity,
     evolve,
     from_wavefunction,
+    macro_grid,
     point_state,
     sample_disorder,
     signed_axis,
@@ -44,16 +44,14 @@ __all__ = [
     "f_transform",
     "disorder_average",
     "energy_density_pairing",
-    "pair_test_function",
     "initial_wavefunction",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
 class Observable:
-    """One (p, n) mode: macroscopic wavenumber p, integer lattice shift n."""
+    """One (p, n) mode: macroscopic wavenumber p, integer lattice shift n.
+    Its JSON form is the pair [p, n]."""
 
     p: tuple[float, float, float]
     n: tuple[int, int, int]
@@ -61,6 +59,14 @@ class Observable:
     def __post_init__(self):
         if len(self.p) != 3 or len(self.n) != 3:
             raise ConfigError("p and n must be 3-vectors")
+
+    def to_obj(self) -> list:
+        return [list(self.p), list(self.n)]
+
+    @staticmethod
+    def from_obj(pair) -> "Observable":
+        return Observable(p=tuple(float(x) for x in pair[0]),
+                          n=tuple(int(x) for x in pair[1]))
 
 
 def f_transform(psi_plus: np.ndarray, eps: float, obs: Observable) -> complex:
@@ -108,12 +114,7 @@ class RunConfig:
             raise ConfigError("t_bar must be nonnegative")
         if self.eps <= 0.0:
             raise ConfigError("eps must be positive")
-        if self.distribution not in XI_BAR:
-            raise ConfigError(f"unknown disorder distribution {self.distribution!r}")
-        if np.sqrt(self.eps) * XI_BAR[self.distribution] >= 1.0:
-            raise ConfigError(
-                "sqrt(eps)*xi_bar >= 1 for this distribution; masses would cross zero"
-            )
+        check_mass_positivity(self.distribution, self.eps)
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,7 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
 
     pairing_w0 = None
     if config.pairing is not None:
-        s = config.eps * signed_axis(config.L)
-        x1, x2, x3 = np.meshgrid(s, s, s, indexing="ij")
-        fv = np.asarray(config.pairing(np.stack([x1, x2, x3], axis=-1)))
-        pairing_w0 = 2.0 * float(np.real(np.sum(np.conj(fv) * np.abs(psi_eps) ** 2)))
+        pairing_w0 = _wave_pairing(psi_eps, config.eps, config.pairing)
 
     tasks = [
         (config, observables, state0.q, state0.v, r) for r in range(config.realizations)
@@ -277,6 +275,13 @@ def _guarded_realization(task):
         return err
 
 
+def _wave_pairing(psi_plus: np.ndarray, eps: float, f):
+    """2 sum_y conj(f(eps y)) |psi_y|^2; real for a real test function f."""
+    fv = np.asarray(f(macro_grid(psi_plus.shape[0], eps)))
+    out = 2.0 * np.sum(np.conj(fv) * np.abs(psi_plus) ** 2)
+    return float(out.real) if np.isrealobj(fv) else complex(out)
+
+
 def energy_density_pairing(
     state: LatticeState,
     disorder: DisorderField,
@@ -285,37 +290,6 @@ def energy_density_pairing(
     f,
 ) -> float:
     """<f, energy density> = sum_y conj(f(eps y)) e_y with the site density
-    e_y = ((1+sqrt(eps) xi)^-2 v^2 + (Omega q)^2) / 2."""
-    from .lattice import _multipliers   # spectral tables shared with the dynamics
-
-    mul = _multipliers(c, state.L)
-    om_q = np.fft.irfftn(mul["omega_r"] * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
-    mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
-    density = 0.5 * (mass * state.v**2 + om_q**2)
-    s = eps * signed_axis(state.L)
-    x1, x2, x3 = np.meshgrid(s, s, s, indexing="ij")
-    fv = np.asarray(f(np.stack([x1, x2, x3], axis=-1)))
-    out = np.sum(np.conj(fv) * density)
-    return float(out.real) if np.isrealobj(fv) else complex(out)
-
-
-def pair_test_function(
-    estimates: list[WignerEstimate],
-    modes: list[tuple[complex, tuple[float, float, float], tuple[int, int, int]]],
-) -> tuple[complex, float]:
-    """Contract an estimate table against finite test-function modes.
-
-    modes is a list of (weight, p, n); returns (sum_m weight * F(p, n),
-    propagated standard error).  Every requested mode must be present.
-    """
-    table = {(est.observable.p, est.observable.n): est for est in estimates}
-    value = 0.0 + 0.0j
-    var = 0.0
-    for weight, p, n in modes:
-        key = (tuple(float(x) for x in p), tuple(int(x) for x in n))
-        if key not in table:
-            raise ConfigError(f"mode {key} missing from the estimate table")
-        est = table[key]
-        value += weight * est.mean
-        var += abs(weight) ** 2 * (est.stderr_re**2 + est.stderr_im**2)
-    return complex(value), float(np.sqrt(var))
+    e_y = ((1+sqrt(eps) xi)^-2 v^2 + (Omega q)^2) / 2, which is 2 |psi_y|^2
+    for the wave variable psi of the state."""
+    return _wave_pairing(to_wavefunction(state, disorder, eps, c), eps, f)

@@ -210,3 +210,77 @@ def test_compare_resumes_over_a_truncated_stage(tmp_path):
     for stage in out.glob("*.json"):
         io.read_json(stage)
     assert not list(out.glob(".*.tmp"))
+
+
+SMALL_COMPARE = {"epsilons": [0.5, 0.25], "box_sizes": [16, 20], "t_bar": 0.1,
+                 "realizations": 2, "M": 8, "particles": 2000, "master_seed": 7}
+
+
+def test_warm_compare_rewrites_the_report_byte_identical(tmp_path):
+    """A rerun that reads every stage back (all 16 rung fields and the
+    reference) writes the cold run's report.json byte for byte; the rung wall
+    times it carries show that nothing was recomputed."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    cold = (out / "report.json").read_bytes()
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    assert (out / "report.json").read_bytes() == cold
+
+
+def test_compare_rebuilds_an_unusable_collision_table(tmp_path):
+    """A cached table built for another config, or cut off, is rebuilt with a
+    warning instead of being trusted: the recomputed reference equals the
+    cold one."""
+    from kinwave.dispersion import build_dispersion, couplings_nn
+    from kinwave.kinetic import build_collision_table
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    cold = (out / "report.json").read_bytes()
+    (table_path,) = out.glob("table_*.npz")
+    foreign = tmp_path / "foreign.npz"
+    io.save_collision_table(
+        foreign, build_collision_table(build_dispersion(couplings_nn(1.0), 8), beta=0.5),
+        config_obj={**SMALL_COMPARE, "beta": 0.5})
+    planted = {"another config": foreign.read_bytes(),
+               "unusable table": table_path.read_bytes()[:100]}
+    for message, blob in planted.items():
+        table_path.write_bytes(blob)
+        for stage in out.glob("reference_*.json"):
+            stage.unlink()
+        with pytest.warns(UserWarning, match=message):
+            assert cli.dispatch(["compare", "--config", str(path)]) == 0
+        assert (out / "report.json").read_bytes() == cold
+
+
+def test_asymmetric_couplings_exit_one(tmp_path, capsys):
+    # alpha(1,0,0) != alpha(-1,0,0): the cosine-only symbol would silently
+    # symmetrize these couplings, so they are refused
+    couplings = [dict(row) for row in NN_COUPLINGS]
+    couplings[2]["value"] = -0.2            # offset (-1, 0, 0)
+    doc = {**dispersion_doc(tmp_path / "o"), "couplings": couplings}
+    path = write_config(tmp_path, "c.json", doc)
+    assert cli.dispatch(["dispersion", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "not symmetric" in err
+    assert not (tmp_path / "o" / "dispersion.json").exists()
+
+
+# StudyConfig fields a compare config cannot set, and why
+COMPARE_EXCLUDED = {
+    "dt": "derived from the lattice's fastest frequency; a fixed value is not a study input",
+    "m_max": "read only by the solver cross-check, which compare never runs",
+    "dyson_samples": "read only by the solver cross-check, which compare never runs",
+    "crosscheck_xi2": "read only by the solver cross-check, which compare never runs",
+}
+
+
+def test_compare_schema_covers_the_study_fields():
+    from dataclasses import fields
+
+    from kinwave.harness import StudyConfig
+
+    accepted = set(cli._SCHEMAS["compare"]["properties"]) - {"output_dir", "resume"}
+    assert accepted == {f.name for f in fields(StudyConfig)} - set(COMPARE_EXCLUDED)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kinwave.dispersion import (
+    Couplings,
     CrossingEstimate,
     build_dispersion,
     couplings_nn,
@@ -10,7 +11,6 @@ from kinwave.dispersion import (
     crossing_sweep,
     decay_exponent,
     find_critical_points,
-    validate_couplings,
 )
 from kinwave.errors import ConfigError
 
@@ -42,20 +42,24 @@ def test_gradient_matches_finite_differences():
 
 
 def test_symbol_positivity_guard():
-    # a single off-site coupling has a sign-indefinite symbol
+    # a lone symmetric off-site pair has the sign-indefinite symbol 2 cos(2 pi k1)
     from kinwave.io import couplings_from_obj
 
-    c = couplings_from_obj([{"offset": [1, 0, 0], "value": 1.0}])
+    c = couplings_from_obj([{"offset": [1, 0, 0], "value": 1.0},
+                            {"offset": [-1, 0, 0], "value": 1.0}])
     with pytest.raises(ConfigError):
         build_dispersion(c, 8)
 
 
-def test_validate_couplings_reports():
-    rep = validate_couplings(couplings_nn(1.0))
-    assert rep.ok
-    assert rep.positive_symbol and rep.symmetric and rep.nonzero_offsite
-    assert rep.min_alpha_hat == pytest.approx(1.0, rel=1e-6)
-    assert validate_couplings(couplings_nn_squared(1.0)).ok
+def test_couplings_must_be_symmetric():
+    # alpha_hat keeps only the cosine part, which is the whole symbol only
+    # when alpha(-y) = alpha(y)
+    c = couplings_nn_squared(1.0)
+    assert build_dispersion(c, 8).omega_min > 0.0
+    with pytest.raises(ConfigError, match="not symmetric"):
+        Couplings(entries=(((-1, 0, 0), -0.2), ((0, 0, 0), 7.0), ((1, 0, 0), -1.0)))
+    # a zero coupling needs no stored mirror
+    Couplings(entries=(((0, 0, 0), 1.0), ((2, 0, 0), 0.0)))
 
 
 def test_critical_points_nn():

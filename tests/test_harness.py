@@ -186,3 +186,50 @@ def test_run_acceptance_summary_shape(tmp_path, monkeypatch):
 
     on_disk = json.loads((tmp_path / "summary.json").read_text())
     assert on_disk == json.loads(json.dumps(summary))
+
+
+DEFAULT_HASH = "9f35a79a799ad87f261dd1ae2a6c671ba61ea0a0328a19d6c9fbeb493bc82055"
+
+
+def _hash(cfg):
+    return io.config_hash(cfg.to_obj())
+
+
+def test_study_from_obj_keeps_the_config_hashes():
+    assert _hash(DEFAULT_STUDY) == DEFAULT_HASH
+    assert _hash(StudyConfig.from_obj({"master_seed": 7})) == DEFAULT_HASH
+    # every default spelled out, numbers as JSON may carry them; keys that
+    # name no field (couplings_tag, pairing, output routing) are ignored
+    spelled = {**DEFAULT_STUDY.to_obj(), "workers": 1, "output_dir": "x",
+               "resume": False, "M": 48.0, "realizations": 100.0}
+    del spelled["couplings"]
+    assert StudyConfig.from_obj(spelled) == DEFAULT_STUDY
+    assert _hash(StudyConfig.from_obj(spelled)) == DEFAULT_HASH
+    # explicit couplings carry no tag, which the hash records
+    explicit = StudyConfig.from_obj({**spelled, "couplings": io.couplings_to_obj(C)})
+    assert explicit.couplings.entries == C.entries
+    assert _hash(explicit).startswith("4089578a5413")
+
+
+def test_study_from_obj_coerces_numbers():
+    one = StudyConfig.from_obj({"master_seed": 7, "t_bar": 1})
+    assert one.t_bar == 1.0 and isinstance(one.t_bar, float)
+    assert _hash(one) == _hash(StudyConfig.from_obj({"master_seed": 7, "t_bar": 1.0}))
+    cfg = StudyConfig.from_obj({"master_seed": 7.0, "box_sizes": [64.0, 64.0],
+                                "workers": 2})
+    assert cfg.box_sizes == (64, 64) and isinstance(cfg.box_sizes[0], int)
+    assert isinstance(cfg.master_seed, int) and cfg.workers == 2
+
+
+def test_study_to_obj_round_trips():
+    from kinwave.initial import PointSource
+
+    cfg = StudyConfig(
+        couplings=C, dt=0.05, distribution="uniform",
+        initial=PointSource.from_dict({(0, 0, 0): 1.0, (1, 0, 0): 0.5 - 0.25j}),
+        observables=(Observable((0.0, 0.0, 0.0), (0, 0, 0)),
+                     Observable((0.5, 0.0, 0.0), (1, 0, 0))),
+    )
+    doc = json.loads(json.dumps(cfg.to_obj()))
+    del doc["couplings"]          # absent couplings are DEFAULT_STUDY's, i.e. C
+    assert StudyConfig.from_obj(doc) == cfg

@@ -8,6 +8,7 @@ from kinwave.dispersion import build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
 from kinwave.kinetic import build_collision_table
 from kinwave.lattice import LatticeState
+from kinwave.wigner import Observable
 
 
 def test_canonical_json_key_order_invariance():
@@ -69,21 +70,24 @@ def test_collision_table_roundtrip(tmp_path):
     table = build_collision_table(grid, beta=0.4, xi2=0.5)
     path = tmp_path / "table.npz"
     io.save_collision_table(path, table, config_obj={"M": 8})
-    back = io.load_collision_table(path)
+    back = io.load_collision_table(path, io.config_hash({"M": 8}))
     np.testing.assert_array_equal(back.sigma, table.sigma)
     assert back.beta == table.beta
     assert back.xi2 == table.xi2
     assert back.grid.couplings.entries == grid.couplings.entries
+    with pytest.raises(ConfigError, match="another config"):
+        io.load_collision_table(path, io.config_hash({"M": 12}))
 
 
 def test_estimates_csv_layout(tmp_path):
     path = tmp_path / "est.csv"
-    io.write_estimates_csv(path, [dict(px=0.5, py=0.0, pz=0.0, n1=1, n2=0, n3=0,
-                                       re_mean=0.25, im_mean=-0.5,
-                                       re_se=0.01, im_se=0.02, realizations=10)])
+    io.write_estimates_csv(path, [Observable(p=(0.5, 0.0, 0.0), n=(1, 0, 0))],
+                           [0.25 - 0.5j], [0.01], [0.02], 10)
     rows = list(csv.DictReader(path.open()))
     assert list(rows[0]) == list(io.ESTIMATE_COLUMNS)
     assert rows[0]["re_mean"] == "0.25"
+    assert rows[0]["im_mean"] == "-0.5"
+    assert rows[0]["px"] == "0.5" and rows[0]["n1"] == "1"
     assert rows[0]["realizations"] == "10"
 
 

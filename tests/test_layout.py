@@ -1,0 +1,38 @@
+"""Source layout rules of the package: each shared constant has one home,
+and modules reach each other only through public names."""
+
+import ast
+from pathlib import Path
+
+import kinwave
+
+SRC = Path(kinwave.__file__).parent
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_two_pi_has_one_home():
+    homes = [
+        name for name, tree in _modules().items()
+        if any(isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "TWO_PI" for t in node.targets)
+               for node in ast.walk(tree))
+    ]
+    assert homes == ["dispersion"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").startswith("kinwave")
+            offenders += [f"{name}: from {node.module} import {alias.name}"
+                          for alias in node.names
+                          if internal and alias.name.startswith("_")
+                          and alias.name != "__version__"]
+    assert offenders == []

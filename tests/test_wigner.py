@@ -12,7 +12,6 @@ from kinwave.wigner import (
     energy_density_pairing,
     f_transform,
     initial_wavefunction,
-    pair_test_function,
 )
 
 C = couplings_nn(1.0)
@@ -164,12 +163,3 @@ def test_energy_density_pairing_constant_test_function():
     val = energy_density_pairing(state, d, eps, C, lambda x: np.ones(x.shape[:-1]))
     assert val == pytest.approx(energy(state, d, eps, C), rel=1e-12)
 
-
-def test_pair_test_function_contraction():
-    res = disorder_average(run_config(), MODES)
-    w = 0.3 - 0.2j
-    total, se = pair_test_function(res.estimates, [(w, MODES[1].p, MODES[1].n)])
-    assert total == pytest.approx(w * res.estimates[1].mean)
-    assert se >= 0.0
-    with pytest.raises(ConfigError):
-        pair_test_function(res.estimates, [(1.0, (9.0, 9.0, 9.0), (0, 0, 0))])
