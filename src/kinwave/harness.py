@@ -84,7 +84,6 @@ from .wigner import (
     Observable,
     RunConfig,
     disorder_average,
-    energy_density_pairing,
     initial_wavefunction,
 )
 
@@ -516,14 +515,11 @@ def _zero_disorder(L: int) -> DisorderField:
 
 
 def _centroid(state: LatticeState, eps: float, c: Couplings) -> np.ndarray:
-    """Energy-density centroid in macroscopic coordinates."""
-    zero = _zero_disorder(state.L)
-    total = energy_density_pairing(state, zero, eps, c, lambda x: np.ones(x.shape[:-1]))
-    comps = [
-        energy_density_pairing(state, zero, eps, c, lambda x, i=i: x[..., i])
-        for i in range(3)
-    ]
-    return np.array(comps) / total
+    """Energy-density centroid in macroscopic coordinates: the positions eps y
+    weighted by the site energy density 2 |psi_y|^2 (the 2 cancels)."""
+    density = np.abs(to_wavefunction(state, _zero_disorder(state.L), eps, c)) ** 2
+    x = macro_grid(state.L, eps)
+    return np.array([np.sum(x[..., i] * density) for i in range(3)]) / np.sum(density)
 
 
 def _packet_velocity(c: Couplings, packet: WKBPacket, eps: float, L: int,

@@ -538,11 +538,12 @@ def dyson_characteristic(
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
         vol = t_bar**m / math.factorial(m)
         base = prefac * decay * vol
+        # flight displacement over the m + 1 segments, shared by every observable
+        drift = sum(r[:, j, None] * gvel[j] for j in range(m + 1))
         for i, obs in enumerate(observables):
             p = np.asarray(obs.p, dtype=np.float64)
             nn = np.asarray(obs.n, dtype=np.float64)
-            phase = -sum(r[:, j] * (gvel[j] @ p) for j in range(m + 1))
-            phase = phase - TWO_PI * (ens.x @ p) + TWO_PI * (kcoord[m] @ nn)
+            phase = -(drift @ p) - TWO_PI * (ens.x @ p) + TWO_PI * (kcoord[m] @ nn)
             totals[i] += base * np.exp(1j * phase)
 
     estimates = []

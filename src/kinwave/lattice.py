@@ -7,7 +7,9 @@ by xi_bar; mass positivity requires sqrt(eps) * xi_bar < 1.  The dynamics is
 
     dq_y/dt = v_y,      (1 + sqrt(eps) xi_y)^-2 dv_y/dt = -(alpha * q)_y,
 
-integrated by velocity Verlet with the convolution evaluated spectrally.
+integrated by velocity Verlet.  The force alpha * q is applied in real space,
+as a periodic stencil over the finite-range coupling offsets: its cost grows
+with the number of offsets, and no Fourier transform enters a Verlet step.
 The complex wave variable psi_y = (Omega q + i (1+sqrt(eps) xi)^-1 v)_y / 2
 (Omega = Fourier multiplier by omega(k)) satisfies 2 sum |psi|^2 = energy.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -88,7 +91,7 @@ def macro_grid(L: int, eps: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _multipliers(c: Couplings, L: int):
-    """Symbol, dispersion and their rfft slices on the box grid k = m/L."""
+    """Dispersion and its rfft slice on the box grid k = m/L."""
     axis = np.arange(L, dtype=np.float64) / L
     k1, k2, k3 = np.meshgrid(axis, axis, axis, indexing="ij")
     kpts = np.stack([k1, k2, k3], axis=-1)
@@ -98,12 +101,55 @@ def _multipliers(c: Couplings, L: int):
     omega = np.sqrt(alpha)
     half = L // 2 + 1
     return {
-        "alpha": alpha,
         "omega": omega,
-        "alpha_r": np.ascontiguousarray(alpha[..., :half]),
         "omega_r": np.ascontiguousarray(omega[..., :half]),
         "omega_max": float(omega.max()),
     }
+
+
+def _shift_blocks(offset, L: int) -> tuple:
+    """(destination, source) slice pairs that together write q_{(y - x) mod L}
+    at every site y for the offset x: per axis, the unwrapped block plus the
+    wrapped one unless the shift is 0 mod L, so at most 8 blocks."""
+    per_axis = []
+    for x in offset:
+        s = x % L
+        if s == 0:
+            per_axis.append(((slice(None), slice(None)),))
+        else:
+            per_axis.append(((slice(s, None), slice(None, L - s)),
+                             (slice(None, s), slice(L - s, None))))
+    return tuple((tuple(d for d, _ in blocks), tuple(src for _, src in blocks))
+                 for blocks in product(*per_axis))
+
+
+@lru_cache(maxsize=16)
+def _stencil(c: Couplings, L: int) -> tuple:
+    """Slice plan of alpha * q on the box: the offsets grouped by coupling
+    value, so each distinct value costs one multiply."""
+    groups: dict[float, list] = {}
+    for offset, value in c.entries:
+        groups.setdefault(value, []).append(_shift_blocks(offset, L))
+    return tuple((value, tuple(offsets)) for value, offsets in groups.items())
+
+
+def _convolve(q: np.ndarray, plan: tuple, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """out = (alpha * q)_y = sum_x alpha(x) q_{(y - x) mod L}, from the plan of
+    _stencil; acc is scratch of q's shape.  Returns out."""
+    if not plan:
+        out.fill(0.0)
+    for g, (value, offsets) in enumerate(plan):
+        target = out if g == 0 else acc
+        for i, blocks in enumerate(offsets):
+            for dst, src in blocks:
+                if i == 0:
+                    target[dst] = q[src]
+                else:
+                    target[dst] += q[src]
+        target *= value
+        if g > 0:
+            out += acc
+    return out
 
 
 def check_mass_positivity(distribution: str, eps: float) -> None:
@@ -122,14 +168,14 @@ def check_mass_positivity(distribution: str, eps: float) -> None:
 
 
 def energy(state: LatticeState, disorder: DisorderField, eps: float, c: Couplings) -> float:
-    """Total energy: kinetic with disordered masses plus the spectral quadratic form."""
+    """Total energy: kinetic with disordered masses plus the potential
+    (1/2) sum_y q_y (alpha * q)_y."""
     check_mass_positivity(disorder.distribution, eps)
-    L = state.L
-    mul = _multipliers(c, L)
+    q = state.q
     mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
     kinetic = 0.5 * float(np.sum(mass * state.v**2))
-    qhat = np.fft.fftn(state.q)
-    potential = 0.5 * float(np.sum(mul["alpha"] * np.abs(qhat) ** 2)) / L**3
+    force = _convolve(q, _stencil(c, state.L), np.empty_like(q), np.empty_like(q))
+    potential = 0.5 * float(np.sum(q * force))
     return kinetic + potential
 
 
@@ -165,12 +211,14 @@ def evolve(
             f"{2.0 / omega_max_eff:.4g}"
         )
 
-    msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
-    alpha_r = mul["alpha_r"]
-    shape = state.q.shape
+    neg_msq = -((1.0 + np.sqrt(eps) * disorder.xi) ** 2)
+    plan = _stencil(c, L)
+    force = np.empty_like(state.q)
+    acc = np.empty_like(state.q)
 
     def accel(q: np.ndarray) -> np.ndarray:
-        return -msq * np.fft.irfftn(alpha_r * np.fft.rfftn(q), shape, axes=(0, 1, 2))
+        """-(1 + sqrt(eps) xi)^2 (alpha * q), written into the force buffer."""
+        return np.multiply(_convolve(q, plan, force, acc), neg_msq, out=force)
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
     rem = t_final - n_steps * dt

@@ -13,6 +13,7 @@ t_bar/eps are what converge to the transport prediction as eps -> 0.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -115,6 +116,14 @@ class RunConfig:
         if self.eps <= 0.0:
             raise ConfigError("eps must be positive")
         check_mass_positivity(self.distribution, self.eps)
+        if self.workers > 1 and self.pairing is not None:
+            # the pool pickles each task; refuse here rather than inside it
+            try:
+                pickle.dumps(self.pairing)
+            except (pickle.PicklingError, AttributeError, TypeError) as err:
+                raise ConfigError(
+                    f"pairing cannot be sent to {self.workers} worker processes: {err}"
+                ) from None
 
 
 @dataclass(frozen=True)

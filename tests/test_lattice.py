@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinwave.dispersion import couplings_nn
+from kinwave.dispersion import Couplings, couplings_nn, couplings_nn_squared
 from kinwave.errors import ConfigError
 from kinwave.initial import PointSource, WKBPacket
 from kinwave.lattice import (
@@ -19,6 +19,7 @@ from kinwave.lattice import (
     wavefunction_norm_squared,
     wkb_state,
 )
+from kinwave.lattice import _convolve, _stencil
 
 C = couplings_nn(1.0)
 
@@ -103,6 +104,95 @@ def test_evolve_matches_spectral_on_clean_lattice():
     err_f = np.max(np.abs(fine.q - exact.q))
     assert err_f < err_c
     assert err_c / err_f == pytest.approx(4.0, rel=0.15)   # second order in dt
+
+
+def far_couplings() -> Couplings:
+    """Symmetric couplings with repeated values and offsets at and beyond
+    L/2 and L for the boxes below, so aliased shifts are exercised."""
+    rng = np.random.default_rng(41)
+    half = [(1, 0, 0), (0, 2, -1), (2, 2, 0), (4, 0, 0), (5, -2, 1),
+            (3, 3, 3), (8, 3, -9), (0, 0, 11)]
+    values = [-1.0, 0.5, -1.0, *rng.uniform(-1.0, 1.0, size=len(half) - 3)]
+    table = {(0, 0, 0): 9.0}
+    for off, val in zip(half, values):
+        table[off] = table[tuple(-x for x in off)] = float(val)
+    return Couplings(entries=tuple(sorted(table.items())))
+
+
+COUPLING_SETS = {"nn": C, "nn_squared": couplings_nn_squared(1.0), "far": far_couplings()}
+
+
+def symbol(c: Couplings, L: int) -> np.ndarray:
+    """alpha_hat on the box grid k = m/L."""
+    axis = np.arange(L) / L
+    return c.alpha_hat(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1))
+
+
+def spectral_convolution(q: np.ndarray, c: Couplings) -> np.ndarray:
+    L = q.shape[0]
+    alpha_r = symbol(c, L)[..., : L // 2 + 1]
+    return np.fft.irfftn(alpha_r * np.fft.rfftn(q), q.shape, axes=(0, 1, 2))
+
+
+def stencil_convolution(q: np.ndarray, c: Couplings) -> np.ndarray:
+    return _convolve(q, _stencil(c, q.shape[0]), np.empty_like(q), np.empty_like(q))
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+@pytest.mark.parametrize("L", [4, 5, 8])
+def test_stencil_equals_spectral_convolution(name, L):
+    c = COUPLING_SETS[name]
+    q = np.random.default_rng(L).normal(size=(L, L, L))
+    ref = spectral_convolution(q, c)
+    got = stencil_convolution(q, c)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+@pytest.mark.parametrize("L", [5, 8])
+def test_energy_is_the_spectral_quadratic_form(name, L):
+    c, eps = COUPLING_SETS[name], 0.3
+    rng = np.random.default_rng(100 + L)
+    state = LatticeState(q=rng.normal(size=(L, L, L)), v=rng.normal(size=(L, L, L)))
+    d = sample_disorder(L, "uniform", seed=L)
+    qhat = np.fft.fftn(state.q)
+    potential = 0.5 * float(np.sum(symbol(c, L) * np.abs(qhat) ** 2)) / L**3
+    kinetic = 0.5 * float(np.sum((1.0 + np.sqrt(eps) * d.xi) ** -2 * state.v**2))
+    assert energy(state, d, eps, c) == pytest.approx(kinetic + potential, rel=1e-12)
+
+
+def fft_verlet(state, disorder, eps, c, t_final, dt):
+    """Velocity Verlet with the force applied through an rfft pair."""
+    msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
+
+    def accel(q):
+        return -msq * spectral_convolution(q, c)
+
+    n_steps = int(np.floor(t_final / dt + 1e-9))
+    rem = t_final - n_steps * dt
+    q, v = state.q.copy(), state.v.copy()
+    a = accel(q)
+    for h in [dt] * n_steps + [rem]:
+        v += (0.5 * h) * a
+        q += h * v
+        a = accel(q)
+        v += (0.5 * h) * a
+    return LatticeState(q=q, v=v)
+
+
+@pytest.mark.parametrize("name", ["nn", "nn_squared"])
+def test_disordered_evolve_equals_fft_verlet(name):
+    """100 full steps and a fractional one at eps = 0.4 agree with an FFT
+    Verlet to rounding."""
+    c, L, eps, dt = COUPLING_SETS[name], 8, 0.4, 0.02
+    t_final = 100.65 * dt
+    psi = random_psi(L, 47)
+    d = sample_disorder(L, "rademacher", seed=53)
+    state = from_wavefunction(psi, c, d, eps)
+    got = evolve(state, d, eps, c, t_final, dt=dt)
+    ref = fft_verlet(state, d, eps, c, t_final, dt)
+    for x, y in ((got.q, ref.q), (got.v, ref.v)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_mass_positivity_guard():

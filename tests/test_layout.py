@@ -36,3 +36,25 @@ def test_no_module_imports_another_modules_private_names():
                           if internal and alias.name.startswith("_")
                           and alias.name != "__version__"]
     assert offenders == []
+
+
+def test_verlet_and_energy_use_no_fft():
+    """The lattice force is a real-space stencil: neither evolve nor energy,
+    nor any lattice function they reach, calls into numpy.fft."""
+    tree = _modules()["lattice"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["evolve", "energy"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [node.id for node in ast.walk(funcs[name])
+                 if isinstance(node, ast.Name) and node.id in funcs]
+    offenders = sorted(
+        name for name in reached for node in ast.walk(funcs[name])
+        if (isinstance(node, ast.Attribute) and node.attr == "fft")
+        or (isinstance(node, ast.Name) and "fft" in node.id)
+    )
+    assert offenders == []
+    assert {"evolve", "energy", "_convolve"} <= reached

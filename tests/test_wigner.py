@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kinwave.dispersion import couplings_nn
+from kinwave import wigner
 from kinwave.errors import ConfigError
 from kinwave.initial import WKBPacket
 from kinwave.lattice import from_wavefunction, sample_disorder
@@ -150,6 +151,21 @@ def test_direct_pairing_carries_substitution_gap():
     # (1 + sqrt(eps) xi)^-2 >= 1 - 2 sqrt(eps) xi with equality never on
     # rademacher sites, so every realization overshoots
     assert np.all(gaps > 0.0)
+
+
+def test_unpicklable_pairing_with_workers_is_refused_before_any_pool(monkeypatch):
+    """A pairing the process pool cannot pickle is a config error, raised
+    when the config is built; no pool is ever started for it."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(wigner, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ConfigError, match="pairing"):
+        config = run_config(workers=2, pairing=lambda x: np.ones(x.shape[:-1]))
+        disorder_average(config, MODES)
+    # a module-level function pickles, and serial runs never pickle at all
+    assert run_config(workers=2, pairing=bump).pairing is bump
+    assert run_config(workers=1, pairing=lambda x: x[..., 0]).workers == 1
 
 
 def test_energy_density_pairing_constant_test_function():
