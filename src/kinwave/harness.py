@@ -33,8 +33,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.integrate
-import scipy.stats
 
 from . import io
 from .dispersion import (
@@ -47,7 +45,7 @@ from .dispersion import (
     find_critical_points,
 )
 from .errors import ConfigError, StabilityError
-from .initial import PointSource, WKBPacket, initial_from_obj
+from .initial import PointSource, WKBPacket, initial_from_obj, squared_radius
 from .kinetic import (
     build_collision_table,
     characteristic_function,
@@ -110,7 +108,7 @@ __all__ = [
 
 def gaussian_bump(x: np.ndarray) -> np.ndarray:
     """The fixed spatial test function of the transport experiments: exp(-|x|^2/2)."""
-    return np.exp(-0.5 * np.sum(np.square(x), axis=-1))
+    return np.exp(-0.5 * squared_radius(x))
 
 
 # the 12 study observables: |p| <= 2, |n| <= 2, (0,0) included
@@ -957,6 +955,8 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Jump sampler against the exact categorical law on a small grid."""
+    import scipy.stats      # deferred: about 0.5 s to import, used only here
+
     c = couplings_nn(1.0)
     grid = build_dispersion(c, 8)
     # the resolution-tied default lands above the admissible range on a grid
@@ -1023,6 +1023,8 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Simplex kernel identities and bounds."""
+    import scipy.integrate  # deferred: about 0.5 s to import, used only here
+
     rng = np.random.default_rng(31)
     worst_k1 = 0.0
     for _ in range(20):

@@ -15,7 +15,15 @@ import numpy as np
 from .dispersion import TWO_PI
 from .errors import ConfigError
 
-__all__ = ["WKBPacket", "PointSource", "initial_from_obj"]
+__all__ = ["squared_radius", "WKBPacket", "PointSource", "initial_from_obj"]
+
+
+def squared_radius(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of positions x of shape (..., 3), summed in axis order."""
+    r2 = x[..., 0] ** 2
+    r2 += x[..., 1] ** 2
+    r2 += x[..., 2] ** 2
+    return r2
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,7 @@ class WKBPacket:
                 "amplitude": self.amplitude}
 
     def envelope(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-np.sum(x**2, axis=-1) / (2.0 * self.sigma**2))
+        return self.amplitude * np.exp(-squared_radius(x) / (2.0 * self.sigma**2))
 
     def phase(self, x: np.ndarray) -> np.ndarray:
         return TWO_PI * (x @ np.asarray(self.k0, dtype=np.float64))

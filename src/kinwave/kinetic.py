@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
-import scipy.signal
 
 from .dispersion import TWO_PI, DispersionGrid
 from .errors import ConfigError, SamplingError
@@ -175,7 +173,7 @@ def build_collision_table(
         np.add.at(density, i0 + 1, frac * w**2)
         offsets = np.arange(-(nb - 1), nb, dtype=np.float64) * step
         kernel = 1.0 / (offsets**2 + beta**2)
-        nodes = scipy.signal.fftconvolve(density, kernel)[nb - 1 : 2 * nb - 1]
+        nodes = _linear_convolution(density, kernel)[nb - 1 : 2 * nb - 1]
         axis = grid.omega_min + step * np.arange(nb)
         sigma = scale * np.interp(w, axis, nodes).reshape(grid.omega.shape)
 
@@ -192,6 +190,14 @@ def build_collision_table(
         grid=grid, beta=float(beta), xi2=float(xi2), sigma=sigma,
         max_neighbor_diff=max(diffs),
     )
+
+
+def _linear_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences through one rfft pair,
+    zero-padded to a power of two."""
+    n = a.size + b.size - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def pair_rate(table: CollisionTable, k_idx, kp_idx) -> np.ndarray:
@@ -417,7 +423,8 @@ def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through values at the
     second-kind points returned by _cheb_nodes."""
     deg = values.size - 1
-    coeffs = scipy.fft.dct(values, type=1) / deg
+    even = np.concatenate([values, values[-2:0:-1]])
+    coeffs = np.fft.fft(even)[: deg + 1] / deg      # DCT-I: FFT of the even extension
     coeffs[0] /= 2.0
     coeffs[-1] /= 2.0
     return coeffs

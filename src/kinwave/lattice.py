@@ -8,8 +8,11 @@ by xi_bar; mass positivity requires sqrt(eps) * xi_bar < 1.  The dynamics is
     dq_y/dt = v_y,      (1 + sqrt(eps) xi_y)^-2 dv_y/dt = -(alpha * q)_y,
 
 integrated by velocity Verlet.  The force alpha * q is applied in real space,
-as a periodic stencil over the finite-range coupling offsets: its cost grows
-with the number of offsets, and no Fourier transform enters a Verlet step.
+as a periodic stencil over the finite-range coupling offsets: each offset is
+one contiguous shift of the flattened box, corrected exactly on the thin faces
+where that shift wraps across a row or a plane.  A Verlet step is one stencil
+plus three in-place passes; its cost grows with the number of offsets, and no
+Fourier transform enters it.
 The complex wave variable psi_y = (Omega q + i (1+sqrt(eps) xi)^-1 v)_y / 2
 (Omega = Fourier multiplier by omega(k)) satisfies 2 sum |psi|^2 = energy.
 """
@@ -19,7 +22,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -86,7 +88,11 @@ def signed_axis(L: int) -> np.ndarray:
 def macro_grid(L: int, eps: float) -> np.ndarray:
     """Macroscopic positions eps * y of the re-centred box sites, shape (L, L, L, 3)."""
     s = eps * signed_axis(L)
-    return np.stack(np.meshgrid(s, s, s, indexing="ij"), axis=-1)
+    x = np.empty((L, L, L, 3))
+    x[..., 0] = s[:, None, None]
+    x[..., 1] = s[:, None]
+    x[..., 2] = s
+    return x
 
 
 @lru_cache(maxsize=16)
@@ -107,46 +113,86 @@ def _multipliers(c: Couplings, L: int):
     }
 
 
-def _shift_blocks(offset, L: int) -> tuple:
-    """(destination, source) slice pairs that together write q_{(y - x) mod L}
-    at every site y for the offset x: per axis, the unwrapped block plus the
-    wrapped one unless the shift is 0 mod L, so at most 8 blocks."""
-    per_axis = []
-    for x in offset:
-        s = x % L
-        if s == 0:
-            per_axis.append(((slice(None), slice(None)),))
-        else:
-            per_axis.append(((slice(s, None), slice(None, L - s)),
-                             (slice(None, s), slice(L - s, None))))
-    return tuple((tuple(d for d, _ in blocks), tuple(src for _, src in blocks))
-                 for blocks in product(*per_axis))
+def _flat_shift(offset, L: int) -> tuple:
+    """One coupling offset x as a shift of the flattened box, plus its faces.
+
+    With s the signed representatives of x mod L, reading the flat index
+    i - (s0 L^2 + s1 L + s2) mod L^3 gives q_{(y - x) mod L} at every site
+    except where y1 - s1 or y2 - s2 leaves [0, L): there the flat index
+    borrows from the neighbouring plane or row.  Those sites, |s1| rows and
+    |s2| columns, are the face.  Returns (shift mod L^3, face, source): the
+    flat indices of the face and of the sites each must read instead."""
+    s = [(x + L // 2) % L - L // 2 for x in offset]
+    y = np.arange(L)
+    rows, columns = ((y < si) | (y >= L + si) for si in s[1:])
+    face = np.flatnonzero(np.broadcast_to(rows[:, None] | columns, (L, L, L)))
+    sites = np.unravel_index(face, (L, L, L))
+    source = np.ravel_multi_index(tuple((i - si) % L for i, si in zip(sites, s)), (L, L, L))
+    return (s[0] * L * L + s[1] * L + s[2]) % L**3, face, source
 
 
 @lru_cache(maxsize=16)
 def _stencil(c: Couplings, L: int) -> tuple:
-    """Slice plan of alpha * q on the box: the offsets grouped by coupling
-    value, so each distinct value costs one multiply."""
+    """Shift plan of alpha * q on the box: the offsets grouped by coupling
+    value, so each distinct value costs one multiply, with the groups of
+    value +-1 last, where _convolve adds them straight into its output."""
     groups: dict[float, list] = {}
     for offset, value in c.entries:
-        groups.setdefault(value, []).append(_shift_blocks(offset, L))
-    return tuple((value, tuple(offsets)) for value, offsets in groups.items())
+        groups.setdefault(value, []).append(_flat_shift(offset, L))
+    return tuple(sorted(((value, tuple(shifts)) for value, shifts in groups.items()),
+                        key=lambda group: abs(group[0]) == 1.0))
+
+
+def _pieces(qf: np.ndarray, tf: np.ndarray, d: int) -> tuple:
+    """(destination, source) pieces of the flat shift tf[i] <- qf[i - d mod n]."""
+    n = qf.size
+    return ((tf[d:], qf[: n - d]), (tf[:d], qf[n - d:])) if d else ((tf, qf),)
+
+
+def _write_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, value: float) -> None:
+    """target_y = value * q_{(y - x) mod L} for one offset x of the plan, on
+    the flattened arrays."""
+    d, face, source = shift
+    for dst, src in _pieces(qf, tf, d):
+        np.multiply(src, value, out=dst)
+    if face.size:
+        tf[face] = qf[source] * value
+
+
+def _add_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, op) -> None:
+    """target_y = op(target_y, q_{(y - x) mod L}) for one offset x of the
+    plan, op np.add or np.subtract, on the flattened arrays.  The face is
+    saved before the flat shift runs over it, then written exactly."""
+    d, face, source = shift
+    saved = tf[face] if face.size else None
+    for dst, src in _pieces(qf, tf, d):
+        op(dst, src, out=dst)
+    if face.size:
+        tf[face] = op(saved, qf[source])
 
 
 def _convolve(q: np.ndarray, plan: tuple, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """out = (alpha * q)_y = sum_x alpha(x) q_{(y - x) mod L}, from the plan of
-    _stencil; acc is scratch of q's shape.  Returns out."""
+    _stencil; out and acc are C-contiguous, acc a work buffer.  Returns out.
+
+    A group of value +-1 is added or subtracted straight into out; any other
+    group is summed, scaled once and added through acc (the first group, or a
+    single offset, is written already scaled)."""
     if not plan:
         out.fill(0.0)
-    for g, (value, offsets) in enumerate(plan):
-        target = out if g == 0 else acc
-        for i, blocks in enumerate(offsets):
-            for dst, src in blocks:
-                if i == 0:
-                    target[dst] = q[src]
-                else:
-                    target[dst] += q[src]
-        target *= value
+    qf, of, af = q.reshape(-1), out.reshape(-1), acc.reshape(-1)
+    for g, (value, shifts) in enumerate(plan):
+        if g > 0 and abs(value) == 1.0:
+            op = np.add if value > 0.0 else np.subtract
+            for shift in shifts:
+                _add_shift(qf, of, shift, op)
+            continue
+        target = of if g == 0 else af
+        _write_shift(qf, target, shifts[0], value if len(shifts) == 1 else 1.0)
+        for shift in shifts[1:]:
+            _add_shift(qf, target, shift, np.add)
+        if len(shifts) > 1 and value != 1.0:
+            target *= value
         if g > 0:
             out += acc
     return out
@@ -174,7 +220,7 @@ def energy(state: LatticeState, disorder: DisorderField, eps: float, c: Coupling
     q = state.q
     mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
     kinetic = 0.5 * float(np.sum(mass * state.v**2))
-    force = _convolve(q, _stencil(c, state.L), np.empty_like(q), np.empty_like(q))
+    force = _convolve(q, _stencil(c, state.L), np.empty(q.shape), np.empty(q.shape))
     potential = 0.5 * float(np.sum(q * force))
     return kinetic + potential
 
@@ -194,6 +240,12 @@ def evolve(
     step is 0.1 / omega_max_eff with omega_max_eff = omega_max (1 + sqrt(eps)
     xi_bar); any dt at or beyond the stability bound 2 / omega_max_eff is
     refused.  Blow-up (non-finite field values) aborts.
+
+    The steps are kick-drift-kick with the closing half-kick of each step and
+    the opening half-kick of the next merged into one kick.  The velocity is
+    carried as dt v and the factor -dt^2 (1 + sqrt(eps) xi)^2 is formed once,
+    so a full step is one stencil plus three in-place passes over the box:
+    scale the force, kick, drift.  The returned v is synchronized with q.
     """
     check_mass_positivity(disorder.distribution, eps)
     if t_final < 0.0:
@@ -211,14 +263,14 @@ def evolve(
             f"{2.0 / omega_max_eff:.4g}"
         )
 
-    neg_msq = -((1.0 + np.sqrt(eps) * disorder.xi) ** 2)
+    kick = (-dt * dt) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2
     plan = _stencil(c, L)
-    force = np.empty_like(state.q)
-    acc = np.empty_like(state.q)
+    force = np.empty(kick.shape)
+    acc = np.empty(kick.shape)
 
-    def accel(q: np.ndarray) -> np.ndarray:
-        """-(1 + sqrt(eps) xi)^2 (alpha * q), written into the force buffer."""
-        return np.multiply(_convolve(q, plan, force, acc), neg_msq, out=force)
+    def dt2_accel(q: np.ndarray) -> np.ndarray:
+        """dt^2 times the acceleration at q, written into the force buffer."""
+        return np.multiply(_convolve(q, plan, force, acc), kick, out=force)
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
     rem = t_final - n_steps * dt
@@ -226,20 +278,25 @@ def evolve(
         rem = 0.0
 
     q = state.q.copy()
-    v = state.v.copy()
-    a = accel(q)
-    for step in range(n_steps):
-        v += (0.5 * dt) * a
-        q += dt * v
-        a = accel(q)
-        v += (0.5 * dt) * a
-        if step % 64 == 0 and not np.isfinite(np.sum(v)):
-            raise StabilityError(f"field blew up at step {step}")
+    p = state.v * dt            # dt v: the drift of one full step
+    dt2_accel(q)
+    if n_steps > 0:
+        p += 0.5 * force
+        for step in range(n_steps):
+            q += p
+            p += dt2_accel(q)   # closes this step and opens the next
+            if step % 64 == 0 and not np.isfinite(np.sum(p)):
+                raise StabilityError(f"field blew up at step {step}")
+        p -= 0.5 * force        # take back the opening half-kick of a step not taken
+    h = dt
     if rem > 0.0:
-        v += (0.5 * rem) * a
-        q += rem * v
-        a = accel(q)
-        v += (0.5 * rem) * a
+        half = 0.5 * (rem / dt) ** 2
+        p *= rem / dt
+        p += half * force
+        q += p
+        p += half * dt2_accel(q)
+        h = rem
+    v = p / h
     if not (np.isfinite(np.sum(v)) and np.isfinite(np.sum(q))):
         raise StabilityError("field blew up during integration")
     return LatticeState(q=q, v=v)
@@ -320,13 +377,12 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
 def envelope_mass_outside(L: int, eps: float, envelope) -> float:
     """Fraction of sum |h(eps y)|^2 carried by sites of the doubled box that
     fall outside the original one.  Cheap tightness diagnostic for wave data."""
-    h2 = np.asarray(envelope(macro_grid(2 * L, eps)), dtype=np.float64)
-    total = float(np.sum(h2**2))
+    mass = np.asarray(envelope(macro_grid(2 * L, eps)), dtype=np.float64) ** 2
+    total = float(np.sum(mass))
     if total == 0.0:
         raise ConfigError("envelope vanishes identically")
     near = np.abs(eps * signed_axis(2 * L)) < eps * (L / 2.0)
-    inside = near[:, None, None] & near[None, :, None] & near[None, None, :]
-    return 1.0 - float(np.sum((h2**2)[inside])) / total
+    return 1.0 - float(np.sum(mass[np.ix_(near, near, near)])) / total
 
 
 def point_state(L: int, eps: float, amplitudes: dict[tuple[int, int, int], complex]) -> np.ndarray:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.signal
 import scipy.stats
 
 from kinwave.dispersion import build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
 from kinwave.harness import DEFAULT_STUDY
 from kinwave.initial import PointSource, WKBPacket
+from kinwave.kinetic import _cheb_coeffs, _linear_convolution
 from kinwave.kinetic import (
     build_collision_table,
     characteristic_function,
@@ -29,6 +32,26 @@ GRID = build_dispersion(C, 12)
 TABLE = build_collision_table(GRID, beta=0.3, xi2=1.0)
 PACKET = WKBPacket(k0=(0.125, 0.0, 0.0), sigma=0.5)
 ZERO = Observable(p=(0.0, 0.0, 0.0), n=(0, 0, 0))
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (5, 7), (300, 599), (16384, 32767)])
+def test_linear_convolution_matches_scipy(na, nb):
+    rng = np.random.default_rng(na)
+    a, b = rng.uniform(size=na), 1.0 / (rng.normal(size=nb) ** 2 + 0.01)
+    ref = scipy.signal.fftconvolve(a, b)
+    got = _linear_convolution(a, b)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("deg", [1, 2, 64, 1024])
+def test_chebyshev_coefficients_match_scipy_dct(deg):
+    rng = np.random.default_rng(deg)
+    values = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    ref = scipy.fft.dct(values, type=1) / deg
+    ref[0] /= 2.0
+    ref[-1] /= 2.0
+    assert np.max(np.abs(_cheb_coeffs(values) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_table_validation():

@@ -108,12 +108,14 @@ def test_evolve_matches_spectral_on_clean_lattice():
 
 def far_couplings() -> Couplings:
     """Symmetric couplings with repeated values and offsets at and beyond
-    L/2 and L for the boxes below, so aliased shifts are exercised."""
+    L/2 and L for the boxes below, so aliased shifts are exercised.  The
+    centre exceeds the sum of all other |alpha|, so the symbol is positive
+    on every box and the couplings can be evolved."""
     rng = np.random.default_rng(41)
     half = [(1, 0, 0), (0, 2, -1), (2, 2, 0), (4, 0, 0), (5, -2, 1),
             (3, 3, 3), (8, 3, -9), (0, 0, 11)]
     values = [-1.0, 0.5, -1.0, *rng.uniform(-1.0, 1.0, size=len(half) - 3)]
-    table = {(0, 0, 0): 9.0}
+    table = {(0, 0, 0): 1.0 + 2.0 * float(np.sum(np.abs(values)))}
     for off, val in zip(half, values):
         table[off] = table[tuple(-x for x in off)] = float(val)
     return Couplings(entries=tuple(sorted(table.items())))
@@ -139,7 +141,7 @@ def stencil_convolution(q: np.ndarray, c: Couplings) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_SETS))
-@pytest.mark.parametrize("L", [4, 5, 8])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 8])
 def test_stencil_equals_spectral_convolution(name, L):
     c = COUPLING_SETS[name]
     q = np.random.default_rng(L).normal(size=(L, L, L))
@@ -180,19 +182,21 @@ def fft_verlet(state, disorder, eps, c, t_final, dt):
     return LatticeState(q=q, v=v)
 
 
-@pytest.mark.parametrize("name", ["nn", "nn_squared"])
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
 def test_disordered_evolve_equals_fft_verlet(name):
-    """100 full steps and a fractional one at eps = 0.4 agree with an FFT
-    Verlet to rounding."""
-    c, L, eps, dt = COUPLING_SETS[name], 8, 0.4, 0.02
-    t_final = 100.65 * dt
-    psi = random_psi(L, 47)
-    d = sample_disorder(L, "rademacher", seed=53)
-    state = from_wavefunction(psi, c, d, eps)
-    got = evolve(state, d, eps, c, t_final, dt=dt)
-    ref = fft_verlet(state, d, eps, c, t_final, dt)
-    for x, y in ((got.q, ref.q), (got.v, ref.v)):
-        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    """Full steps and a fractional one at eps = 0.4 agree with an FFT Verlet
+    to rounding, on an odd and an even box: no step at all, a fractional step
+    alone, exactly one step, whole steps only, and many steps plus a fraction."""
+    c, eps, dt = COUPLING_SETS[name], 0.4, 0.02
+    for L in (5, 8):
+        psi = random_psi(L, 47)
+        d = sample_disorder(L, "rademacher", seed=53)
+        state = from_wavefunction(psi, c, d, eps)
+        for steps in (0.0, 0.4, 1.0, 3.0, 100.65):
+            got = evolve(state, d, eps, c, steps * dt, dt=dt)
+            ref = fft_verlet(state, d, eps, c, steps * dt, dt)
+            for x, y in ((got.q, ref.q), (got.v, ref.v)):
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), (L, steps)
 
 
 def test_mass_positivity_guard():

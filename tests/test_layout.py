@@ -2,6 +2,9 @@
 and modules reach each other only through public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kinwave
@@ -58,3 +61,16 @@ def test_verlet_and_energy_use_no_fft():
     )
     assert offenders == []
     assert {"evolve", "energy", "_convolve"} <= reached
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    """Importing the CLI loads none of the scipy submodules that cost about a
+    second at import; the criteria that need them import them when they run."""
+    heavy = ["scipy.signal", "scipy.stats", "scipy.integrate", "scipy.fft"]
+    code = ("import sys, kinwave.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
