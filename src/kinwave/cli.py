@@ -23,12 +23,7 @@ import numpy as np
 from . import io
 from .dispersion import build_dispersion, crossing_sweep, decay_exponent, find_critical_points
 from .errors import ConfigError, FitError, SamplingError, StabilityError
-from .harness import (
-    DEFAULT_OBSERVABLES,
-    StudyConfig,
-    energy_transport_check,
-    run_convergence,
-)
+from .harness import DEFAULT_OBSERVABLES, StudyConfig, run_study
 from .initial import initial_from_obj
 from .kinetic import (
     build_collision_table,
@@ -386,10 +381,7 @@ def _cmd_compare(doc: dict, out_dir: Path, dry: bool) -> None:
     cfg.validate(grid.max_group_speed)
     if dry:
         return
-    resume = doc.get("resume", True)
-    report = run_convergence(cfg, out_dir=out_dir, resume=resume)
-    transport = energy_transport_check(cfg, report=report, out_dir=out_dir,
-                                       resume=resume)
+    report, transport = run_study(cfg, out_dir=out_dir, resume=doc.get("resume", True))
     io.write_json(out_dir / "summary.json", {
         "err": {str(eps): e for eps, e in zip(cfg.epsilons, report.err)},
         "monotone": report.monotone,

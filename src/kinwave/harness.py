@@ -12,14 +12,21 @@ limiting transport description on a shrinking-epsilon ladder:
     Gaussian test function versus the position marginal of the transport
     ensemble, plus an exact evaluation of the initial-data substitution gap.
 
+run_study runs the two ladder experiments of one StudyConfig in order, the
+transport ladder on the convergence study's Boltzmann reference; it is the
+one way the package runs them.  Each realization of a convergence rung is
+measured for F(p, n) and the wave norm; each realization of a transport rung,
+started from the substitution data, for the energy pairing and F(0, 0).
+
 The convergence experiment tests a limit with no attached rate, so acceptance
 is monotone decrease along the ladder plus a final-rung ceiling.  Each stage
 persists a JSON artifact keyed by the config hash, and a rerun with the same
 config resumes from whatever artifacts already exist.
 
-The module also houses the acceptance battery: thirteen self-contained
-criterion runners (criterion_1 .. criterion_13) with frozen parameters, and
-run_acceptance, which executes all of them and writes one machine-readable
+The module also houses the acceptance battery: criterion_1 .. criterion_11
+are self-contained runners with frozen parameters, listed in
+CRITERION_RUNNERS; criterion_12 and criterion_13 judge the reports of one
+study.  run_acceptance executes all thirteen and writes one machine-readable
 summary with a pass/fail verdict per criterion.
 """
 
@@ -100,6 +107,7 @@ __all__ = [
     "run_convergence",
     "free_flight_check",
     "energy_transport_check",
+    "run_study",
     "solver_crosscheck",
     "run_acceptance",
     "CRITERION_RUNNERS",
@@ -221,6 +229,8 @@ class StudyConfig:
                 raise ConfigError(
                     f"box L = {L} below the wrap-around guard {need:.1f} at eps = {eps}"
                 )
+            for o in self.observables:
+                o.check_shift(L)
 
 
 DEFAULT_STUDY = StudyConfig(couplings=couplings_nn(1.0))
@@ -267,9 +277,6 @@ class EpsilonRung:
     norm_mean: float
     gaps: list[float]
     err: float
-    pairing_t: list[float]
-    pairing_0: list[float]
-    pairing_w0: float
     elapsed: float
 
     def to_obj(self) -> dict:
@@ -394,8 +401,9 @@ def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
 
 
 def _rung_config(cfg: StudyConfig, rung_index: int, seed_index: int,
-                 convention: str) -> RunConfig:
-    """Lattice run of one rung of the ladder, on realization stream seed_index."""
+                 **kw) -> RunConfig:
+    """Lattice run of one rung of the ladder, on realization stream seed_index;
+    kw sets the RunConfig fields that differ between the two ladders."""
     return RunConfig(
         couplings=cfg.couplings,
         L=cfg.box_sizes[rung_index],
@@ -407,15 +415,14 @@ def _rung_config(cfg: StudyConfig, rung_index: int, seed_index: int,
         seed=_eps_seed(cfg.master_seed, seed_index),
         dt=cfg.dt,
         workers=cfg.workers,
-        pairing=gaussian_bump,
-        convention=convention,
+        **kw,
     )
 
 
 def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
               ref_mass: float) -> EpsilonRung:
     t0 = _time.perf_counter()
-    run = _rung_config(cfg, rung_index, rung_index, "rescaled")
+    run = _rung_config(cfg, rung_index, rung_index)
     result = disorder_average(run, list(cfg.observables))
     means = [est.mean for est in result.estimates]
     gaps = [abs(m - r) for m, r in zip(means, ref_means)]
@@ -432,9 +439,6 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
         norm_mean=result.norm_mean,
         gaps=gaps,
         err=max(gaps) / ref_mass,
-        pairing_t=[float(x) for x in result.pairing_t],
-        pairing_0=[float(x) for x in result.pairing_0],
-        pairing_w0=float(result.pairing_w0),
         elapsed=_time.perf_counter() - t0,
     )
 
@@ -668,35 +672,33 @@ _TRANSPORT_SEED_OFFSET = 50
 
 
 def _transport_rung(cfg: StudyConfig, rung_index: int) -> dict:
-    """One substitution-data rung: mean energy pairing at t_bar and 0."""
-    run = _rung_config(cfg, rung_index, _TRANSPORT_SEED_OFFSET + rung_index, "direct")
+    """One substitution-data rung: mean energy pairing at t_bar."""
+    run = _rung_config(cfg, rung_index, _TRANSPORT_SEED_OFFSET + rung_index,
+                       convention="direct", pairing=gaussian_bump)
     result = disorder_average(run, [_MASS_OBSERVABLE])
     pair_t = np.asarray(result.pairing_t, dtype=np.float64)
-    pair_0 = np.asarray(result.pairing_0, dtype=np.float64)
     return {
         "eps": run.eps,
         "L": run.L,
         "pairing_t_mean": float(pair_t.mean()),
         "pairing_t_se": float(pair_t.std(ddof=1) / np.sqrt(pair_t.size)),
-        "pairing_0_mean": float(pair_0.mean()),
         "count": int(pair_t.size),
     }
 
 
 def energy_transport_check(
     cfg: StudyConfig,
-    report: ConvergenceReport | None = None,
+    report: ConvergenceReport,
     out_dir: str | Path | None = None,
     resume: bool = True,
 ) -> TransportReport:
-    """Energy-density pairing versus the transport position marginal.
+    """Energy-density pairing versus the transport position marginal of the
+    study report's Boltzmann reference.
 
     The ladder reruns each epsilon with the substitution ("direct") initial
     data: the microscopic side starts from the disorder-free (q0, v0), which
     is the conversion whose initial error the square-root bound controls.
     """
-    if report is None:
-        report = run_convergence(cfg, out_dir=out_dir)
     meta = io.artifact_metadata(cfg.to_obj(), cfg.master_seed)
     base = None
     if out_dir is not None:
@@ -735,6 +737,14 @@ def energy_transport_check(
         overall_in_window=window[0] <= overall <= window[1],
         monotone_0=all(b < a for a, b in zip(gap0, gap0[1:])),
     )
+
+
+def run_study(cfg: StudyConfig, out_dir: str | Path | None = None,
+              resume: bool = True) -> tuple[ConvergenceReport, TransportReport]:
+    """The convergence ladder, then the transport ladder on its reference;
+    with out_dir set, both persist and resume per stage there."""
+    report = run_convergence(cfg, out_dir=out_dir, resume=resume)
+    return report, energy_transport_check(cfg, report, out_dir=out_dir, resume=resume)
 
 
 # ---------------------------------------------------------------------------
@@ -1111,11 +1121,8 @@ def criterion_11(report: FreeFlightReport | None = None) -> CriterionResult:
                             "tolerance": 0.05})
 
 
-def criterion_12(report: ConvergenceReport | None = None,
-                 out_dir: str | Path | None = None) -> CriterionResult:
+def criterion_12(report: ConvergenceReport) -> CriterionResult:
     """Ladder convergence of the disorder-averaged observables."""
-    if report is None:
-        report = run_convergence(DEFAULT_STUDY, out_dir=out_dir)
     passed = report.monotone and report.final_err <= 0.2 and report.bound_ok
     return CriterionResult(12, "kinetic-limit convergence", passed,
                            {"err": report.err, "final_err": report.final_err,
@@ -1125,8 +1132,7 @@ def criterion_12(report: ConvergenceReport | None = None,
                                 r.max_bound_excess for r in report.rungs)})
 
 
-def criterion_13(transport: TransportReport | None = None,
-                 report: ConvergenceReport | None = None) -> CriterionResult:
+def criterion_13(transport: TransportReport) -> CriterionResult:
     """Energy transport gap shrinks; substitution gap decays fast enough.
 
     The time-zero substitution gap must decay at least at the square-root
@@ -1136,8 +1142,6 @@ def criterion_13(transport: TransportReport | None = None,
     overshoots the window's high end while satisfying the bound itself.  The
     raw ratios are reported either way.
     """
-    if transport is None:
-        transport = energy_transport_check(DEFAULT_STUDY, report=report)
     return CriterionResult(13, "energy transport", transport.passed(),
                            {"gaps_t": transport.gaps_t,
                             "monotone_t": transport.monotone_t,
@@ -1148,11 +1152,11 @@ def criterion_13(transport: TransportReport | None = None,
                             "overall_in_window": transport.overall_in_window})
 
 
+# the criteria that take no input; 12 and 13 judge the reports of run_study
 CRITERION_RUNNERS = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13,
+    9: criterion_9, 10: criterion_10, 11: criterion_11,
 }
 
 
@@ -1160,13 +1164,9 @@ def run_acceptance(out_dir: str | Path | None = None,
                    cfg: StudyConfig = DEFAULT_STUDY) -> dict:
     """Run all thirteen criteria and write summary.json when out_dir is set."""
     study_dir = Path(out_dir) / "study" if out_dir is not None else None
-    results: list[CriterionResult] = []
-    for cid in range(1, 12):
-        results.append(CRITERION_RUNNERS[cid]())
-    report = run_convergence(cfg, out_dir=study_dir)
-    results.append(criterion_12(report=report))
-    transport = energy_transport_check(cfg, report=report, out_dir=study_dir)
-    results.append(criterion_13(transport=transport))
+    results = [CRITERION_RUNNERS[cid]() for cid in range(1, 12)]
+    report, transport = run_study(cfg, out_dir=study_dir)
+    results += [criterion_12(report), criterion_13(transport)]
 
     obj = cfg.to_obj()
     summary = {

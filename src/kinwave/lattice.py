@@ -31,6 +31,7 @@ from .errors import ConfigError, StabilityError
 __all__ = [
     "DisorderField",
     "LatticeState",
+    "draw_disorder",
     "sample_disorder",
     "signed_axis",
     "macro_grid",
@@ -69,14 +70,18 @@ class LatticeState:
         return self.q.shape[0]
 
 
-def sample_disorder(L: int, distribution: str, seed: int) -> DisorderField:
-    if distribution not in XI_BAR:
-        raise ConfigError(f"unknown disorder distribution {distribution!r}")
-    rng = np.random.default_rng(seed)
+def draw_disorder(rng: np.random.Generator, distribution: str, shape) -> np.ndarray:
+    """Float64 draws of a site law with mean zero and unit variance: uniform
+    on [-sqrt(3), sqrt(3)], or rademacher +-1."""
     if distribution == "uniform":
-        xi = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(L, L, L))
-    else:
-        xi = (2.0 * rng.integers(0, 2, size=(L, L, L)) - 1.0).astype(np.float64)
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape)
+    if distribution == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=shape) - 1.0
+    raise ConfigError(f"unknown disorder distribution {distribution!r}")
+
+
+def sample_disorder(L: int, distribution: str, seed: int) -> DisorderField:
+    xi = draw_disorder(np.random.default_rng(seed), distribution, (L, L, L))
     return DisorderField(xi=xi, xi_bar=XI_BAR[distribution], distribution=distribution, seed=seed)
 
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, factorial
 
 import numpy as np
 
 from .errors import ConfigError
+from .lattice import XI_BAR, draw_disorder
 
 __all__ = [
     "CumulantVector",
     "MomentCheck",
     "enumerate_partitions",
-    "bell_number",
     "cumulants_of",
     "moment_via_partitions",
     "verify_moment_mc",
@@ -58,10 +58,6 @@ def enumerate_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     grow(0, [])
     return partitions
-
-
-def bell_number(n: int) -> int:
-    return len(enumerate_partitions(n)) if n > 0 else 1
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,8 @@ def cumulants_of(distribution: str, n_max: int = MAX_ORDER) -> CumulantVector:
             tail = m[n - j - 1] if n - j >= 1 else Fraction(1)
             total -= comb(n - 1, j - 1) * c[j - 1] * tail
         c.append(total)
-    xi_bar = sqrt(3.0) if distribution == "uniform" else 1.0
-    return CumulantVector(distribution=distribution, values=tuple(c), xi_bar=xi_bar)
+    return CumulantVector(distribution=distribution, values=tuple(c),
+                          xi_bar=XI_BAR[distribution])
 
 
 def moment_via_partitions(index_map, cum: CumulantVector) -> Fraction:
@@ -144,13 +140,8 @@ def verify_moment_mc(
     sites = list(index_map)
     labels = sorted(set(sites), key=repr)
     columns = {lab: i for i, lab in enumerate(labels)}
-    rng = np.random.default_rng(seed)
-    if distribution == "uniform":
-        draws = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n_samples, len(labels)))
-    elif distribution == "rademacher":
-        draws = 2.0 * rng.integers(0, 2, size=(n_samples, len(labels))) - 1.0
-    else:
-        raise ConfigError(f"unknown disorder distribution {distribution!r}")
+    draws = draw_disorder(np.random.default_rng(seed), distribution,
+                          (n_samples, len(labels)))
     prod = np.ones(n_samples)
     for lab in sites:
         prod = prod * draws[:, columns[lab]]

@@ -9,6 +9,11 @@ with sites y re-centred to signed coordinates.  F(0, 0) is the component norm
 sum |psi|^2 and dominates every other value in modulus; F is Hermitian under
 (p, n) -> (-p, -n).  Disorder averages of F at the kinetically scaled time
 t_bar/eps are what converge to the transport prediction as eps -> 0.
+
+Each realization maps its evolved state to psi once and measures everything
+from that field: the row of F values, the norm sum |psi|^2 and, when the run
+has a test function f, the energy pairing sum conj(f(eps y)) e_y with the
+site energy density e_y = 2 |psi_y|^2.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ class Observable:
         if len(self.p) != 3 or len(self.n) != 3:
             raise ConfigError("p and n must be 3-vectors")
 
+    def check_shift(self, L: int) -> None:
+        """Refuse a shift longer than half the box L, which F cannot resolve."""
+        if any(abs(x) > L // 2 for x in self.n):
+            raise ConfigError(f"shift {self.n} exceeds half the box size {L // 2}")
+
     def to_obj(self) -> list:
         return [list(self.p), list(self.n)]
 
@@ -73,9 +83,8 @@ class Observable:
 def f_transform(psi_plus: np.ndarray, eps: float, obs: Observable) -> complex:
     """Evaluate F(p, n) for one wave field on the periodic box."""
     L = psi_plus.shape[0]
+    obs.check_shift(L)
     n = np.asarray(obs.n, dtype=np.int64)
-    if np.any(np.abs(n) > L // 2):
-        raise ConfigError(f"shift {obs.n} exceeds half the box size {L // 2}")
     w = np.conj(np.roll(psi_plus, shift=tuple(n), axis=(0, 1, 2))) * psi_plus
     s = signed_axis(L)
     u = [
@@ -102,8 +111,8 @@ class RunConfig:
     pairing: object | None = None   # optional test function f(x) for energy pairing
     # "rescaled": each realization inverts the disordered wave map exactly, so
     # F(0,0) is pinned to the wave norm.  "direct": all realizations start
-    # from the same disorder-free (q0, v0); the initial energy pairing then
-    # carries the O(sqrt(eps)) conversion error of the substitution data.
+    # from the same disorder-free (q0, v0), whose energy pairing carries the
+    # O(sqrt(eps)) conversion error of the substitution data.
     convention: str = "rescaled"
 
     def __post_init__(self):
@@ -142,9 +151,9 @@ class WignerResult:
     bound_ok: bool                 # |F(p,n)| <= F(0,0) held on every kept realization
     max_bound_excess: float        # worst relative excess observed (<= fp noise when ok)
     norm_mean: float               # mean component norm F(0,0) across realizations
-    pairing_t: np.ndarray | None = None    # <f, energy density> at t_bar/eps, per realization
-    pairing_0: np.ndarray | None = None    # same at t = 0 (disordered masses)
-    pairing_w0: float | None = None        # 2 <f, W[psi_eps]> at t = 0, deterministic
+    # <f, energy density> at t_bar/eps per kept realization, for a run with a
+    # test function f; None without one
+    pairing_t: np.ndarray | None = None
 
 
 def initial_wavefunction(initial: WKBPacket | PointSource, L: int, eps: float) -> np.ndarray:
@@ -155,8 +164,20 @@ def initial_wavefunction(initial: WKBPacket | PointSource, L: int, eps: float) -
     raise ConfigError(f"unknown initial data spec {type(initial).__name__}")
 
 
+def _pairing_weights(f, L: int, eps: float) -> np.ndarray:
+    """2 conj(f(eps y)) on the box: paired with |psi|^2 it gives
+    <f, energy density>, since the site energy density is 2 |psi_y|^2."""
+    return 2.0 * np.conj(np.asarray(f(macro_grid(L, eps))))
+
+
+def _paired(weights: np.ndarray, density: np.ndarray):
+    """sum weights * density; real for a real test function."""
+    out = np.sum(weights * density)
+    return float(out.real) if np.isrealobj(weights) else complex(out)
+
+
 def _one_realization(args) -> tuple:
-    config, observables, state0_q, v_base, r = args
+    config, observables, state0_q, v_base, weights, r = args
     field_r = sample_disorder(config.L, config.distribution, seed=(config.seed, r))
     if config.convention == "rescaled":
         # invert the disordered wave map exactly: the run then evolves the
@@ -165,25 +186,17 @@ def _one_realization(args) -> tuple:
         v0 = (1.0 + np.sqrt(config.eps) * field_r.xi) * v_base
     else:
         v0 = v_base
-    state0 = LatticeState(q=state0_q, v=v0)
     state_t = evolve(
-        state0, field_r, config.eps, config.couplings,
+        LatticeState(q=state0_q, v=v0), field_r, config.eps, config.couplings,
         config.t_bar / config.eps, config.dt,
     )
     psi_t = to_wavefunction(state_t, field_r, config.eps, config.couplings)
     row = np.array(
         [f_transform(psi_t, config.eps, obs) for obs in observables], dtype=np.complex128
     )
-    norm = float(np.sum(np.abs(psi_t) ** 2))
-    pair_t = pair_0 = None
-    if config.pairing is not None:
-        pair_t = energy_density_pairing(
-            state_t, field_r, config.eps, config.couplings, config.pairing
-        )
-        pair_0 = energy_density_pairing(
-            state0, field_r, config.eps, config.couplings, config.pairing
-        )
-    return row, norm, pair_t, pair_0
+    density = np.abs(psi_t) ** 2
+    pair_t = None if weights is None else _paired(weights, density)
+    return row, float(np.sum(density)), pair_t
 
 
 def disorder_average(config: RunConfig, observables: list[Observable]) -> WignerResult:
@@ -202,18 +215,16 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
     # each realization then rescales v by (1 + sqrt(eps) xi) so its wave
     # variables start at psi_eps exactly
     state0 = from_wavefunction(psi_eps, config.couplings)
-
-    pairing_w0 = None
-    if config.pairing is not None:
-        pairing_w0 = _wave_pairing(psi_eps, config.eps, config.pairing)
+    weights = (None if config.pairing is None
+               else _pairing_weights(config.pairing, config.L, config.eps))
 
     tasks = [
-        (config, observables, state0.q, state0.v, r) for r in range(config.realizations)
+        (config, observables, state0.q, state0.v, weights, r)
+        for r in range(config.realizations)
     ]
     rows: list[np.ndarray] = []
     norms: list[float] = []
     pair_t: list[float] = []
-    pair_0: list[float] = []
     n_dropped = 0
 
     def consume(outcome) -> None:
@@ -222,12 +233,11 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
             n_dropped += 1
             warnings.warn(f"dropped realization: {outcome}", stacklevel=2)
             return
-        row, norm, pt, p0 = outcome
+        row, norm, pt = outcome
         rows.append(row)
         norms.append(norm)
         if pt is not None:
             pair_t.append(pt)
-            pair_0.append(p0)
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -272,8 +282,6 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
         max_bound_excess=max_excess,
         norm_mean=float(norm_arr.mean()),
         pairing_t=np.array(pair_t) if pair_t else None,
-        pairing_0=np.array(pair_0) if pair_0 else None,
-        pairing_w0=pairing_w0,
     )
 
 
@@ -282,13 +290,6 @@ def _guarded_realization(task):
         return _one_realization(task)
     except StabilityError as err:
         return err
-
-
-def _wave_pairing(psi_plus: np.ndarray, eps: float, f):
-    """2 sum_y conj(f(eps y)) |psi_y|^2; real for a real test function f."""
-    fv = np.asarray(f(macro_grid(psi_plus.shape[0], eps)))
-    out = 2.0 * np.sum(np.conj(fv) * np.abs(psi_plus) ** 2)
-    return float(out.real) if np.isrealobj(fv) else complex(out)
 
 
 def energy_density_pairing(
@@ -301,4 +302,5 @@ def energy_density_pairing(
     """<f, energy density> = sum_y conj(f(eps y)) e_y with the site density
     e_y = ((1+sqrt(eps) xi)^-2 v^2 + (Omega q)^2) / 2, which is 2 |psi_y|^2
     for the wave variable psi of the state."""
-    return _wave_pairing(to_wavefunction(state, disorder, eps, c), eps, f)
+    psi = to_wavefunction(state, disorder, eps, c)
+    return _paired(_pairing_weights(f, state.L, eps), np.abs(psi) ** 2)

@@ -1,10 +1,10 @@
 """Acceptance gate: the thirteen quantitative criteria, one line each.
 
-Criteria 12 and 13 share one convergence study through session fixtures;
-stage artifacts land in KINWAVE_ACCEPT_DIR when set (hash-guarded, so a
-stale or foreign stage is recomputed, never trusted), else in a fresh
-temporary directory.  Each test appends its verdict line to the shared
-list printed in the terminal summary.
+Criteria 12 and 13 judge the two reports of one run_study call, shared
+through a session fixture; stage artifacts land in KINWAVE_ACCEPT_DIR when
+set (hash-guarded, so a stale or foreign stage is recomputed, never
+trusted), else in a fresh temporary directory.  Each test appends its
+verdict line to the shared list printed in the terminal summary.
 """
 
 import os
@@ -35,15 +35,9 @@ def accept_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def study_report(accept_dir):
-    return harness.run_convergence(harness.DEFAULT_STUDY, out_dir=accept_dir)
-
-
-@pytest.fixture(scope="session")
-def transport_report(accept_dir, study_report):
-    return harness.energy_transport_check(
-        harness.DEFAULT_STUDY, report=study_report, out_dir=accept_dir
-    )
+def study(accept_dir):
+    """(ConvergenceReport, TransportReport) of the default study."""
+    return harness.run_study(harness.DEFAULT_STUDY, out_dir=accept_dir)
 
 
 def test_criterion_01_norm_energy_identity():
@@ -101,14 +95,13 @@ def test_criterion_11_free_flight():
     assert r.passed, r.detail
 
 
-def test_criterion_12_kinetic_convergence(study_report):
-    r = record(harness.criterion_12(report=study_report))
+def test_criterion_12_kinetic_convergence(study):
+    r = record(harness.criterion_12(study[0]))
     assert r.passed, r.detail
 
 
-def test_criterion_13_energy_transport(study_report, transport_report):
-    r = record(harness.criterion_13(transport=transport_report,
-                                    report=study_report))
+def test_criterion_13_energy_transport(study):
+    r = record(harness.criterion_13(study[1]))
     assert r.passed, r.detail
 
 

@@ -217,7 +217,7 @@ SMALL_COMPARE = {"epsilons": [0.5, 0.25], "box_sizes": [16, 20], "t_bar": 0.1,
 
 
 def test_warm_compare_rewrites_the_report_byte_identical(tmp_path):
-    """A rerun that reads every stage back (all 16 rung fields and the
+    """A rerun that reads every stage back (every rung field and the
     reference) writes the cold run's report.json byte for byte; the rung wall
     times it carries show that nothing was recomputed."""
     out = tmp_path / "out"
@@ -226,6 +226,20 @@ def test_warm_compare_rewrites_the_report_byte_identical(tmp_path):
     cold = (out / "report.json").read_bytes()
     assert cli.dispatch(["compare", "--config", str(path)]) == 0
     assert (out / "report.json").read_bytes() == cold
+
+
+def test_compare_refuses_a_shift_longer_than_half_a_box(tmp_path, capsys):
+    """An observable shift that one rung's box cannot resolve is a config
+    error at validation: --validate-only exits 1, and a full run writes no
+    stage before refusing it."""
+    out = tmp_path / "out"
+    doc = {**SMALL_COMPARE, "output_dir": str(out),
+           "observables": [[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [9, 0, 0]]]}
+    path = write_config(tmp_path, "c.json", doc)
+    assert cli.dispatch(["compare", "--config", str(path), "--validate-only"]) == 1
+    assert "shift (9, 0, 0) exceeds half the box size 8" in capsys.readouterr().err
+    assert cli.dispatch(["compare", "--config", str(path)]) == 1
+    assert list(out.iterdir()) == []
 
 
 def test_compare_rebuilds_an_unusable_collision_table(tmp_path):

@@ -131,6 +131,9 @@ def test_substitution_gap_matches_monte_carlo():
     mc = np.mean(samples)
     se = np.std(samples, ddof=1) / np.sqrt(len(samples))
     assert abs(mc - gap) <= 4.0 * se + 1e-12
+    # (1 + sqrt(eps) xi)^-2 >= 1 - 2 sqrt(eps) xi, with equality on no
+    # rademacher site, so the direct data overshoot on every realization
+    assert min(samples) > 0.0
 
 
 def test_substitution_gap_decays_linearly():
@@ -163,17 +166,13 @@ def test_run_acceptance_summary_shape(tmp_path, monkeypatch):
     stubs = {cid: (lambda cid=cid: CriterionResult(cid, f"stub {cid}", True, {}))
              for cid in range(1, 12)}
     monkeypatch.setattr(harness, "CRITERION_RUNNERS", stubs)
-    monkeypatch.setattr(harness, "run_convergence", lambda cfg, out_dir=None: "rep")
-    monkeypatch.setattr(
-        harness, "energy_transport_check",
-        lambda cfg, report=None, out_dir=None: "tr")
+    monkeypatch.setattr(harness, "run_study", lambda cfg, out_dir=None: ("rep", "tr"))
     monkeypatch.setattr(
         harness, "criterion_12",
-        lambda report=None, out_dir=None: CriterionResult(12, "stub 12", True, {}))
+        lambda report: CriterionResult(12, "stub 12", report == "rep", {}))
     monkeypatch.setattr(
         harness, "criterion_13",
-        lambda transport=None, report=None: CriterionResult(13, "stub 13", False,
-                                                            {"why": "stub"}))
+        lambda transport: CriterionResult(13, "stub 13", False, {"why": transport}))
 
     summary = harness.run_acceptance(out_dir=tmp_path)
 

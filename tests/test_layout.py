@@ -2,6 +2,7 @@
 and modules reach each other only through public names."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import kinwave
 
 SRC = Path(kinwave.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _modules():
@@ -74,3 +76,17 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_traced_function_resolves():
+    """The benchmark tracer wraps each (module, function) of its TRACED table
+    by name; a name missing from kinwave would crash a traced run."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)]
+    traced = ast.literal_eval(table)
+    assert traced
+    missing = [f"{module}.{name}" for module, name, _ in traced
+               if not callable(getattr(importlib.import_module(f"kinwave.{module}"),
+                                       name, None))]
+    assert missing == []

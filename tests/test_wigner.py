@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from kinwave.dispersion import couplings_nn
 from kinwave import wigner
 from kinwave.errors import ConfigError
 from kinwave.initial import WKBPacket
-from kinwave.lattice import from_wavefunction, sample_disorder
+from kinwave.lattice import evolve, from_wavefunction, sample_disorder, to_wavefunction
 from kinwave.wigner import (
     Observable,
     RunConfig,
@@ -136,21 +138,36 @@ def bump(x):
     return np.exp(-0.5 * np.sum(x * x, axis=-1))
 
 
-def test_rescaled_pairing_matches_wigner_pairing_exactly():
-    """Under the rescaled convention the disordered kinetic term cancels:
-    <f, e(0)> equals 2 <f, |psi|^2> on every realization."""
+def test_one_wave_map_per_realization(monkeypatch):
+    """A realization maps its evolved state to psi once and measures F, the
+    norm and the energy pairing all from that one field."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return to_wavefunction(*args)
+
+    monkeypatch.setattr(wigner, "to_wavefunction", counting)
     res = disorder_average(run_config(pairing=bump), MODES)
-    assert res.pairing_0 is not None
-    np.testing.assert_allclose(res.pairing_0, res.pairing_w0, rtol=1e-12)
+    assert len(calls) == 4
+    assert res.pairing_t.shape == (4,)
 
 
-def test_direct_pairing_carries_substitution_gap():
-    res = disorder_average(run_config(convention="direct", realizations=8,
-                                      pairing=bump), MODES)
-    gaps = res.pairing_0 - res.pairing_w0
-    # (1 + sqrt(eps) xi)^-2 >= 1 - 2 sqrt(eps) xi with equality never on
-    # rademacher sites, so every realization overshoots
-    assert np.all(gaps > 0.0)
+def test_pairing_matches_energy_density_pairing_and_workers():
+    """The pairing each realization measures is energy_density_pairing of
+    its evolved state, and a process pool reproduces the serial run bitwise."""
+    config = run_config(convention="direct", pairing=bump)
+    serial = disorder_average(config, MODES)
+    pooled = disorder_average(replace(config, workers=2), MODES)
+    assert [e.mean for e in pooled.estimates] == [e.mean for e in serial.estimates]
+    assert pooled.norm_mean == serial.norm_mean
+    assert pooled.pairing_t.tolist() == serial.pairing_t.tolist()
+
+    psi0 = initial_wavefunction(PACKET, config.L, config.eps)
+    state0 = from_wavefunction(psi0, C)
+    d = sample_disorder(config.L, config.distribution, seed=(config.seed, 0))
+    state_t = evolve(state0, d, config.eps, C, config.t_bar / config.eps)
+    assert serial.pairing_t[0] == energy_density_pairing(state_t, d, config.eps, C, bump)
 
 
 def test_unpicklable_pairing_with_workers_is_refused_before_any_pool(monkeypatch):
