@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .chebyshev import cheb_coeffs, cheb_nodes
 from .dispersion import TWO_PI, DispersionGrid
 from .errors import ConfigError, SamplingError
 from .initial import PointSource, WKBPacket
@@ -415,21 +416,6 @@ def theta_plus(grid: DispersionGrid, k, beta: float, xi2: float = 1.0) -> comple
     return gate_function(grid, k, wk + 1j * beta, 1, 1, xi2)
 
 
-def _cheb_nodes(deg: int) -> np.ndarray:
-    return np.cos(np.pi * np.arange(deg + 1) / deg)    # 1 .. -1
-
-
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through values at the
-    second-kind points returned by _cheb_nodes."""
-    deg = values.size - 1
-    even = np.concatenate([values, values[-2:0:-1]])
-    coeffs = np.fft.fft(even)[: deg + 1] / deg      # DCT-I: FFT of the even extension
-    coeffs[0] /= 2.0
-    coeffs[-1] /= 2.0
-    return coeffs
-
-
 def k_simplex(t: float, w) -> complex:
     """Simplex oscillatory kernel K_N(t, w), N = len(w) <= 6.
 
@@ -453,13 +439,13 @@ def k_simplex(t: float, w) -> complex:
         return complex(np.exp(-1j * t * ws[0]))
 
     for deg in (64, 128, 256, 512, 1024):
-        x = _cheb_nodes(deg)
+        x = cheb_nodes(deg)
         r = (x + 1.0) * (t / 2.0)
         vals = np.exp(-1j * r * ws[0])
         tail = 0.0
         for w_next in ws[1:]:
             g = np.exp(1j * r * w_next) * vals
-            coeffs = _cheb_coeffs(g)
+            coeffs = cheb_coeffs(g)
             scale = np.max(np.abs(coeffs)) or 1.0
             tail = max(tail, float(np.max(np.abs(coeffs[-2:])) / scale))
             primitive = np.polynomial.chebyshev.chebint(coeffs, lbnd=-1.0, scl=t / 2.0)

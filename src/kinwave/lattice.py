@@ -7,12 +7,18 @@ by xi_bar; mass positivity requires sqrt(eps) * xi_bar < 1.  The dynamics is
 
     dq_y/dt = v_y,      (1 + sqrt(eps) xi_y)^-2 dv_y/dt = -(alpha * q)_y,
 
-integrated by velocity Verlet.  The force alpha * q is applied in real space,
-as a periodic stencil over the finite-range coupling offsets: each offset is
-one contiguous shift of the flattened box, corrected exactly on the thin faces
-where that shift wraps across a row or a plane.  A Verlet step is one stencil
-plus three in-place passes; its cost grows with the number of offsets, and no
-Fourier transform enters it.
+that is q'' = -K q with K = (1 + sqrt(eps) xi)^2 alpha, linear and constant
+in time.  Two integrators solve it.  propagate sums cos(t sqrt K) and
+sin(t sqrt K) / sqrt K as Chebyshev series in K, exact to rounding: the
+study ladders reach t_bar/eps with it in about t sqrt(Lambda) / 2 + 10 terms
+(Lambda bounds the spectrum of K).  evolve is velocity Verlet, the
+integrator under test in the acceptance criteria 1-3 and the one behind
+`kinwave simulate`.  Both apply alpha * q in real space, as a periodic
+stencil over the finite-range coupling offsets: each offset is one
+contiguous shift of the flattened box, corrected exactly on the thin faces
+where that shift wraps across a row or a plane.  A Verlet step is one
+stencil plus three in-place passes; its cost grows with the number of
+offsets, and no Fourier transform enters either integrator.
 The complex wave variable psi_y = (Omega q + i (1+sqrt(eps) xi)^-1 v)_y / 2
 (Omega = Fourier multiplier by omega(k)) satisfies 2 sum |psi|^2 = energy.
 """
@@ -25,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chebyshev import cheb_coeffs, cheb_nodes
 from .dispersion import Couplings
 from .errors import ConfigError, StabilityError
 
@@ -38,6 +45,8 @@ __all__ = [
     "check_mass_positivity",
     "energy",
     "evolve",
+    "propagate",
+    "spectral_bound",
     "evolve_free_spectral",
     "to_wavefunction",
     "from_wavefunction",
@@ -182,7 +191,8 @@ def _convolve(q: np.ndarray, plan: tuple, out: np.ndarray, acc: np.ndarray) -> n
 
     A group of value +-1 is added or subtracted straight into out; any other
     group is summed, scaled once and added through acc (the first group, or a
-    single offset, is written already scaled)."""
+    single offset, is written already scaled).  The value of a leading
+    single-offset group may also be a flat per-site array (_with_diagonal)."""
     if not plan:
         out.fill(0.0)
     qf, of, af = q.reshape(-1), out.reshape(-1), acc.reshape(-1)
@@ -307,6 +317,135 @@ def evolve(
     return LatticeState(q=q, v=v)
 
 
+def spectral_bound(c: Couplings, disorder: DisorderField, eps: float) -> float:
+    """Gershgorin bound Lambda = (1 + sqrt(eps) xi_bar)^2 sum_x |alpha(x)| on
+    the spectrum of K = (1 + sqrt(eps) xi)^2 alpha.  K is similar to a
+    symmetric positive semidefinite matrix, so its spectrum lies in [0, Lambda]."""
+    return (1.0 + np.sqrt(eps) * disorder.xi_bar) ** 2 * sum(abs(v) for _, v in c.entries)
+
+
+_SERIES_TOL = 1e-14
+
+
+def _propagator_series(t: float, lam: float) -> np.ndarray:
+    """Chebyshev coefficients, in x = 2 lambda / lam - 1 on [-1, 1], of
+    cos(t sqrt(lambda)) and sin(t sqrt(lambda)) / sqrt(lambda), shape (2, n+1).
+
+    Both functions are entire in lambda, so their coefficients fall off faster
+    than geometrically past t sqrt(lam) / 2.  The interpolation grid doubles
+    until the series are resolved in its lower half; both are then cut after
+    the last coefficient of either that reaches 1e-14 of its function's
+    largest value (1 and t, at lambda = 0).  Past t sqrt(lam) ~ 45 the cut
+    rises to the rounding of the arguments t sqrt(lambda) themselves."""
+    tol = max(_SERIES_TOL, np.finfo(np.float64).eps * t * np.sqrt(lam))
+    deg = 32
+    while True:
+        root = np.sqrt(0.5 * lam * (1.0 + cheb_nodes(deg)))
+        values = np.stack([np.cos(t * root), t * np.sinc(t * root / np.pi)])
+        series = np.stack([cheb_coeffs(row).real for row in values])
+        scale = np.abs(values).max(axis=1, keepdims=True)
+        kept = np.flatnonzero(np.any(np.abs(series) >= tol * scale, axis=0))
+        if kept[-1] < deg // 2:
+            return series[:, : kept[-1] + 1]
+        deg *= 2
+
+
+def _with_diagonal(plan: tuple, diagonal: np.ndarray) -> tuple:
+    """Plan of (alpha + diag(diagonal)) q from the plan of alpha: the offset
+    0 (the one shift that moves no site) leaves its group, and its coupling
+    value joins the diagonal in a leading group whose value is per site."""
+    centre = diagonal.reshape(-1).copy()
+    groups = []
+    for value, shifts in plan:
+        moving = tuple(shift for shift in shifts if shift[0])
+        centre += value * (len(shifts) - len(moving))
+        if moving:
+            groups.append((value, moving))
+    identity = (0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    return ((centre, (identity,)), *groups)
+
+
+# Chebyshev terms per accumulation: the terms of one block sit in a ring of
+# buffers and enter the sums through one matrix product (larger blocks were
+# no faster at L = 64 and hold more memory)
+_BLOCK = 2
+
+
+def propagate(
+    state: LatticeState,
+    disorder: DisorderField,
+    eps: float,
+    c: Couplings,
+    t: float,
+) -> LatticeState:
+    """Exact evolution to time t of q'' = -K q, K = (1 + sqrt(eps) xi)^2 alpha:
+
+        q(t) = cos(t sqrt K) q0 + S v0,   v(t) = cos(t sqrt K) v0 - K S q0,
+
+    with S = sin(t sqrt K) / sqrt K.  Both matrix functions are summed to
+    rounding as Chebyshev series in A = (2 / Lambda) K - I, whose spectrum
+    lies in [-1, 1] (Lambda from spectral_bound): the three-term recurrence
+    T_{k+1} = 2 A T_k - T_{k-1} runs on q0 and on v0 side by side, and K S q0
+    takes one stencil more.  A term costs one stencil per chain, with the -2 I
+    of 2 A folded into its diagonal, one scaling pass and one subtraction; no
+    Fourier transform of the field enters.  A symbol that is not positive on
+    the box grid (K not positive definite) is refused; non-finite field
+    values abort.
+    """
+    check_mass_positivity(disorder.distribution, eps)
+    _multipliers(c, state.L)
+    if t < 0.0:
+        raise ConfigError("t must be nonnegative")
+    if t == 0.0:
+        return LatticeState(q=state.q.copy(), v=state.v.copy())
+    lam = spectral_bound(c, disorder, eps)
+    cos_c, sinc_c = _propagator_series(t, lam)
+    plan = _stencil(c, state.L)
+    msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
+    w = (4.0 / lam) * msq
+    shifted = _with_diagonal(plan, -2.0 / w)   # 2 A = w (alpha - 2 / w)
+    acc = np.empty(msq.shape)
+
+    def two_a(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = 2 A x on both chains."""
+        for chain in range(2):
+            _convolve(x[chain], shifted, out[chain], acc)
+        out *= w
+        return out
+
+    # the Chebyshev terms T_j on (q0, v0) in a ring of _BLOCK buffers; the
+    # three sums cos q0 + S v0, cos v0 and S q0 take each full block, or the
+    # last one, with the coefficients of its terms (zero past the last term)
+    n_terms = cos_c.size
+    blocks = -(-n_terms // _BLOCK)
+    mix = np.zeros((blocks * _BLOCK, 3, 2))
+    mix[:n_terms, 0, 0] = mix[:n_terms, 1, 1] = cos_c
+    mix[:n_terms, 0, 1] = mix[:n_terms, 2, 0] = sinc_c
+    mix = mix.reshape(blocks, _BLOCK, 3, 2).transpose(0, 2, 1, 3).reshape(blocks, 3, -1)
+    ring = np.zeros((_BLOCK, 2, *msq.shape))
+    ring[0, 0], ring[0, 1] = state.q, state.v
+    flat = ring.reshape(2 * _BLOCK, -1)
+    work = np.empty(ring.shape[1:])
+    sums = np.zeros((3, msq.size))
+    term = np.empty(sums.shape)
+    for j in range(n_terms):
+        if j == 1:
+            two_a(ring[0], ring[1])
+            ring[1] *= 0.5
+        elif j > 1:
+            two_a(ring[(j - 1) % _BLOCK], work)
+            np.subtract(work, ring[(j - 2) % _BLOCK], out=ring[j % _BLOCK])
+        if j % _BLOCK == _BLOCK - 1 or j == n_terms - 1:
+            sums += np.matmul(mix[j // _BLOCK], flat, out=term)
+    q = sums[0].reshape(msq.shape)
+    ks = _convolve(sums[2].reshape(msq.shape), plan, work[0], acc)
+    ks *= msq
+    v = np.subtract(sums[1].reshape(msq.shape), ks)
+    if not (np.isfinite(np.sum(v)) and np.isfinite(np.sum(q))):
+        raise StabilityError("field blew up during propagation")
+    return LatticeState(q=q, v=v)
+
+
 def to_wavefunction(
     state: LatticeState, disorder: DisorderField, eps: float, c: Couplings
 ) -> np.ndarray:
@@ -380,14 +519,24 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
 
 
 def envelope_mass_outside(L: int, eps: float, envelope) -> float:
-    """Fraction of sum |h(eps y)|^2 carried by sites of the doubled box that
-    fall outside the original one.  Cheap tightness diagnostic for wave data."""
-    mass = np.asarray(envelope(macro_grid(2 * L, eps)), dtype=np.float64) ** 2
-    total = float(np.sum(mass))
-    if total == 0.0:
-        raise ConfigError("envelope vanishes identically")
-    near = np.abs(eps * signed_axis(2 * L)) < eps * (L / 2.0)
-    return 1.0 - float(np.sum(mass[np.ix_(near, near, near)])) / total
+    """Fraction of sum |h(eps y)|^2 over the doubled box (2L sites a side)
+    carried by sites outside the original one: a cheap tightness diagnostic
+    for wave data.  The envelope is taken to be of product form,
+    |h(x)|^2 = g_1(x_1) g_2(x_2) g_3(x_3), as the Gaussian of WKBPacket is, so
+    both sums factor by axis: the fraction is 1 - prod_axis (inside / total)
+    of the 1-D sums of |h|^2 along the axis through the origin."""
+    s = eps * signed_axis(2 * L)
+    near = np.abs(s) < eps * (L / 2.0)
+    inside = 1.0
+    for axis in range(3):
+        x = np.zeros((2 * L, 3))
+        x[:, axis] = s
+        mass = np.asarray(envelope(x), dtype=np.float64) ** 2
+        total = float(np.sum(mass))
+        if total == 0.0:
+            raise ConfigError("envelope vanishes identically")
+        inside *= float(np.sum(mass[near])) / total
+    return 1.0 - inside
 
 
 def point_state(L: int, eps: float, amplitudes: dict[tuple[int, int, int], complex]) -> np.ndarray:

@@ -10,10 +10,11 @@ sum |psi|^2 and dominates every other value in modulus; F is Hermitian under
 (p, n) -> (-p, -n).  Disorder averages of F at the kinetically scaled time
 t_bar/eps are what converge to the transport prediction as eps -> 0.
 
-Each realization maps its evolved state to psi once and measures everything
-from that field: the row of F values, the norm sum |psi|^2 and, when the run
-has a test function f, the energy pairing sum conj(f(eps y)) e_y with the
-site energy density e_y = 2 |psi_y|^2.
+Each realization propagates its state exactly to t_bar/eps
+(lattice.propagate), maps it to psi once and measures everything from that
+field: the row of F values (one shift product per distinct n), the norm
+sum |psi|^2 and, when the run has a test function f, the energy pairing
+sum conj(f(eps y)) e_y with the site energy density e_y = 2 |psi_y|^2.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .lattice import (
     DisorderField,
     LatticeState,
     check_mass_positivity,
-    evolve,
     from_wavefunction,
     macro_grid,
     point_state,
+    propagate,
     sample_disorder,
     signed_axis,
     to_wavefunction,
@@ -48,6 +49,7 @@ __all__ = [
     "WignerEstimate",
     "WignerResult",
     "f_transform",
+    "f_row",
     "disorder_average",
     "energy_density_pairing",
     "initial_wavefunction",
@@ -80,23 +82,50 @@ class Observable:
                           n=tuple(int(x) for x in pair[1]))
 
 
+def _shift_product(psi_plus: np.ndarray, n: tuple[int, int, int]) -> np.ndarray:
+    """conj(psi_{y-n}) psi_y on the periodic box."""
+    w = np.roll(psi_plus, shift=n, axis=(0, 1, 2))
+    np.conjugate(w, out=w)
+    w *= psi_plus
+    return w
+
+
+def _contract(w: np.ndarray, eps: float, obs: Observable) -> complex:
+    """sum_y w_y exp(-i 2 pi eps p.(y - n/2)) for the shift product w of
+    obs.n: the plane wave factors by axis, so the sum is three matrix-vector
+    products, last axis first."""
+    s = signed_axis(w.shape[0])
+    u = [np.exp(-1j * TWO_PI * eps * obs.p[axis] * (s - obs.n[axis] / 2.0))
+         for axis in range(3)]
+    return complex(w @ u[2] @ u[1] @ u[0])
+
+
 def f_transform(psi_plus: np.ndarray, eps: float, obs: Observable) -> complex:
     """Evaluate F(p, n) for one wave field on the periodic box."""
-    L = psi_plus.shape[0]
-    obs.check_shift(L)
-    n = np.asarray(obs.n, dtype=np.int64)
-    w = np.conj(np.roll(psi_plus, shift=tuple(n), axis=(0, 1, 2))) * psi_plus
-    s = signed_axis(L)
-    u = [
-        np.exp(-1j * TWO_PI * eps * obs.p[axis] * (s - n[axis] / 2.0))
-        for axis in range(3)
-    ]
-    return complex(np.einsum("ijk,i,j,k->", w, u[0], u[1], u[2]))
+    obs.check_shift(psi_plus.shape[0])
+    return _contract(_shift_product(psi_plus, obs.n), eps, obs)
+
+
+def f_row(psi_plus: np.ndarray, eps: float, observables) -> np.ndarray:
+    """F at every observable, equal to one f_transform call each: the shift
+    product of each distinct n is formed once and contracted for every p
+    that shares it."""
+    row = np.empty(len(observables), dtype=np.complex128)
+    by_shift: dict[tuple, list[int]] = {}
+    for i, obs in enumerate(observables):
+        obs.check_shift(psi_plus.shape[0])
+        by_shift.setdefault(obs.n, []).append(i)
+    for n, members in by_shift.items():
+        w = _shift_product(psi_plus, n)
+        for i in members:
+            row[i] = _contract(w, eps, observables[i])
+    return row
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Disorder-averaged run: evolve realizations to time t_bar/eps, then measure."""
+    """Disorder-averaged run: propagate realizations exactly to time t_bar/eps,
+    then measure."""
 
     couplings: Couplings
     L: int
@@ -106,7 +135,6 @@ class RunConfig:
     realizations: int
     initial: WKBPacket | PointSource
     seed: int = 0
-    dt: float | None = None
     workers: int = 1
     pairing: object | None = None   # optional test function f(x) for energy pairing
     # "rescaled": each realization inverts the disordered wave map exactly, so
@@ -149,7 +177,8 @@ class WignerResult:
     estimates: list[WignerEstimate]
     n_dropped: int
     bound_ok: bool                 # |F(p,n)| <= F(0,0) held on every kept realization
-    max_bound_excess: float        # worst relative excess observed (<= fp noise when ok)
+    max_bound_excess: float        # worst relative excess observed (<= fp noise when ok;
+                                   # -inf for a run with no observables)
     norm_mean: float               # mean component norm F(0,0) across realizations
     # <f, energy density> at t_bar/eps per kept realization, for a run with a
     # test function f; None without one
@@ -186,14 +215,12 @@ def _one_realization(args) -> tuple:
         v0 = (1.0 + np.sqrt(config.eps) * field_r.xi) * v_base
     else:
         v0 = v_base
-    state_t = evolve(
+    state_t = propagate(
         LatticeState(q=state0_q, v=v0), field_r, config.eps, config.couplings,
-        config.t_bar / config.eps, config.dt,
+        config.t_bar / config.eps,
     )
     psi_t = to_wavefunction(state_t, field_r, config.eps, config.couplings)
-    row = np.array(
-        [f_transform(psi_t, config.eps, obs) for obs in observables], dtype=np.complex128
-    )
+    row = f_row(psi_t, config.eps, observables)
     density = np.abs(psi_t) ** 2
     pair_t = None if weights is None else _paired(weights, density)
     return row, float(np.sum(density)), pair_t
@@ -202,14 +229,16 @@ def _one_realization(args) -> tuple:
 def disorder_average(config: RunConfig, observables: list[Observable]) -> WignerResult:
     """Average F over independent disorder realizations.
 
+    The observable list may be empty when the run has a pairing: each
+    realization then measures its norm and energy pairing only.
     Realizations stream through one at a time (serial mode is bitwise
     reproducible); a blown-up realization is dropped with a warning, and more
     than 5% drops fail the whole run.  With workers > 1 the realizations are
     farmed to a process pool and reduced in index order, so the estimates do
     not depend on the worker count.
     """
-    if not observables:
-        raise ConfigError("need at least one observable")
+    if not observables and config.pairing is None:
+        raise ConfigError("need at least one observable or a pairing")
     psi_eps = initial_wavefunction(config.initial, config.L, config.eps)
     # q and the unscaled v are disorder-free; under the rescaled convention
     # each realization then rescales v by (1 + sqrt(eps) xi) so its wave
@@ -262,7 +291,7 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
 
     # |F(p,n)| <= F(0,0) must hold realization by realization
     excess = (np.abs(data) - norm_arr[:, None]) / norm_arr[:, None]
-    max_excess = float(excess.max())
+    max_excess = float(excess.max(initial=-np.inf))
     bound_ok = max_excess <= 1e-12
 
     estimates = [

@@ -284,7 +284,6 @@ def test_asymmetric_couplings_exit_one(tmp_path, capsys):
 
 # StudyConfig fields a compare config cannot set, and why
 COMPARE_EXCLUDED = {
-    "dt": "derived from the lattice's fastest frequency; a fixed value is not a study input",
     "m_max": "read only by the solver cross-check, which compare never runs",
     "dyson_samples": "read only by the solver cross-check, which compare never runs",
     "crosscheck_xi2": "read only by the solver cross-check, which compare never runs",

@@ -187,7 +187,7 @@ def test_run_acceptance_summary_shape(tmp_path, monkeypatch):
     assert on_disk == json.loads(json.dumps(summary))
 
 
-DEFAULT_HASH = "9f35a79a799ad87f261dd1ae2a6c671ba61ea0a0328a19d6c9fbeb493bc82055"
+DEFAULT_HASH = "89d2e4e348ba0e4e32cf0495cebc29615442e0b109c672bb043d3b1e93507c28"
 
 
 def _hash(cfg):
@@ -198,7 +198,8 @@ def test_study_from_obj_keeps_the_config_hashes():
     assert _hash(DEFAULT_STUDY) == DEFAULT_HASH
     assert _hash(StudyConfig.from_obj({"master_seed": 7})) == DEFAULT_HASH
     # every default spelled out, numbers as JSON may carry them; keys that
-    # name no field (couplings_tag, pairing, output routing) are ignored
+    # name no field (couplings_tag, pairing, propagator, output routing) are
+    # ignored
     spelled = {**DEFAULT_STUDY.to_obj(), "workers": 1, "output_dir": "x",
                "resume": False, "M": 48.0, "realizations": 100.0}
     del spelled["couplings"]
@@ -207,7 +208,7 @@ def test_study_from_obj_keeps_the_config_hashes():
     # explicit couplings carry no tag, which the hash records
     explicit = StudyConfig.from_obj({**spelled, "couplings": io.couplings_to_obj(C)})
     assert explicit.couplings.entries == C.entries
-    assert _hash(explicit).startswith("4089578a5413")
+    assert _hash(explicit).startswith("7d4d50011f14")
 
 
 def test_study_from_obj_coerces_numbers():
@@ -224,7 +225,7 @@ def test_study_to_obj_round_trips():
     from kinwave.initial import PointSource
 
     cfg = StudyConfig(
-        couplings=C, dt=0.05, distribution="uniform",
+        couplings=C, distribution="uniform",
         initial=PointSource.from_dict({(0, 0, 0): 1.0, (1, 0, 0): 0.5 - 0.25j}),
         observables=(Observable((0.0, 0.0, 0.0), (0, 0, 0)),
                      Observable((0.5, 0.0, 0.0), (1, 0, 0))),

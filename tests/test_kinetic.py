@@ -6,11 +6,12 @@ import scipy.fft
 import scipy.signal
 import scipy.stats
 
+from kinwave.chebyshev import cheb_coeffs
 from kinwave.dispersion import build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
 from kinwave.harness import DEFAULT_STUDY
 from kinwave.initial import PointSource, WKBPacket
-from kinwave.kinetic import _cheb_coeffs, _linear_convolution
+from kinwave.kinetic import _linear_convolution
 from kinwave.kinetic import (
     build_collision_table,
     characteristic_function,
@@ -51,7 +52,7 @@ def test_chebyshev_coefficients_match_scipy_dct(deg):
     ref = scipy.fft.dct(values, type=1) / deg
     ref[0] /= 2.0
     ref[-1] /= 2.0
-    assert np.max(np.abs(_cheb_coeffs(values) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(cheb_coeffs(values) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_table_validation():

@@ -12,14 +12,17 @@ from kinwave.lattice import (
     evolve,
     evolve_free_spectral,
     from_wavefunction,
+    macro_grid,
     point_state,
+    propagate,
     sample_disorder,
     signed_axis,
+    spectral_bound,
     to_wavefunction,
     wavefunction_norm_squared,
     wkb_state,
 )
-from kinwave.lattice import _convolve, _stencil
+from kinwave.lattice import _convolve, _multipliers, _stencil
 
 C = couplings_nn(1.0)
 
@@ -199,6 +202,107 @@ def test_disordered_evolve_equals_fft_verlet(name):
                 assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), (L, steps)
 
 
+def disordered_state(c, L, eps, seed=47):
+    d = sample_disorder(L, "rademacher", seed=seed + 6)
+    return from_wavefunction(random_psi(L, seed), c, d, eps), d
+
+
+def _close(x, y, tol):
+    return np.max(np.abs(x - y)) <= tol * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+def test_propagate_is_exact_on_the_clean_lattice(name):
+    """At eps = 0 the propagator matches the spectral free evolution to
+    rounding, over short and long times, on an odd and an even box."""
+    c = COUPLING_SETS[name]
+    for L in (5, 8):
+        clean = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
+                              distribution="rademacher", seed=0)
+        state = from_wavefunction(random_psi(L, 31), c, clean, 0.0)
+        for t in (0.05, 1.0, 4.0, 25.0):
+            got = propagate(state, clean, 0.0, c, t)
+            exact = evolve_free_spectral(state, c, t)
+            assert _close(got.q, exact.q, 1e-12), (L, t)
+            assert _close(got.v, exact.v, 1e-12), (L, t)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+def test_propagate_matches_richardson_extrapolated_verlet(name):
+    """With disorder, the propagator agrees with the Richardson limit
+    (4 V(dt/16) - V(dt/8)) / 3 of Verlet at the default step dt, far inside
+    the error of Verlet at dt/16 itself."""
+    c, eps, t = COUPLING_SETS[name], 0.25, 3.0
+    for L in (5, 8):
+        state, d = disordered_state(c, L, eps)
+        dt = 0.1 / (_multipliers(c, L)["omega_max"] * (1.0 + np.sqrt(eps) * d.xi_bar))
+        got = propagate(state, d, eps, c, t)
+        coarse = evolve(state, d, eps, c, t, dt=dt / 8)
+        fine = evolve(state, d, eps, c, t, dt=dt / 16)
+        for field in ("q", "v"):
+            x, v8, v16 = (getattr(s, field) for s in (got, coarse, fine))
+            limit = (4.0 * v16 - v8) / 3.0
+            assert _close(x, limit, 1e-7), (L, field)
+            assert np.max(np.abs(x - v16)) > 100.0 * np.max(np.abs(x - limit)), (L, field)
+
+
+def test_propagate_at_time_zero_returns_the_state_and_refuses_bad_input():
+    state, d = disordered_state(C, 6, 0.25)
+    out = propagate(state, d, 0.25, C, 0.0)
+    assert out.q.tobytes() == state.q.tobytes() and out.v.tobytes() == state.v.tobytes()
+    assert out.q is not state.q and out.v is not state.v
+    with pytest.raises(ConfigError):
+        propagate(state, d, 0.25, C, -1.0)
+    with pytest.raises(ConfigError):
+        propagate(state, d, 1.0, C, 1.0)             # sqrt(eps) xi_bar = 1
+    indefinite = Couplings(entries=(((-1, 0, 0), 1.0), ((1, 0, 0), 1.0)))
+    with pytest.raises(ConfigError, match="not positive"):
+        propagate(state, d, 0.25, indefinite, 1.0)   # symbol 2 cos(2 pi k1)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+def test_propagate_conserves_energy_and_the_norm(name):
+    """The energy at t equals the energy at 0, and so does the wave norm
+    2 sum |psi(t)|^2, both to rounding, leaving the input untouched."""
+    c, eps = COUPLING_SETS[name], 0.4
+    state, d = disordered_state(c, 8, eps)
+    q0, v0 = state.q.copy(), state.v.copy()
+    e0 = energy(state, d, eps, c)
+    for t in (0.7, 9.0):
+        out = propagate(state, d, eps, c, t)
+        assert energy(out, d, eps, c) == pytest.approx(e0, rel=1e-12)
+        psi = to_wavefunction(out, d, eps, c)
+        assert wavefunction_norm_squared(psi) == pytest.approx(e0, rel=1e-12)
+    assert np.array_equal(state.q, q0) and np.array_equal(state.v, v0)
+
+
+@pytest.mark.parametrize("name", ["nn_squared", "far"])
+def test_spectral_bound_covers_the_spectrum(name):
+    """Power iteration on K = (1 + sqrt(eps) xi)^2 alpha, in the inner product
+    sum x y / (1 + sqrt(eps) xi)^2 that makes K symmetric, converges to the
+    top of the dense spectrum, which stays under Lambda; the bottom of that
+    spectrum is nonnegative, so spec K lies in [0, Lambda]."""
+    c, eps, L = COUPLING_SETS[name], 0.25, 6
+    d = sample_disorder(L, "rademacher", seed=3)
+    msq = (1.0 + np.sqrt(eps) * d.xi) ** 2
+    lam = spectral_bound(c, d, eps)
+
+    def k(x):
+        return msq * stencil_convolution(x, c)
+
+    x = np.random.default_rng(9).normal(size=(L, L, L))
+    for _ in range(500):
+        y = k(x)
+        x = y / np.sqrt(np.sum(y * y / msq))
+    k_max = float(np.sum(x * k(x) / msq))
+    dense = np.stack([k(e.reshape(L, L, L)).ravel() for e in np.eye(L**3)], axis=1)
+    spectrum = np.linalg.eigvals(dense)
+    assert np.max(np.abs(spectrum.imag)) <= 1e-9 * lam
+    assert k_max == pytest.approx(np.max(spectrum.real), rel=1e-9)
+    assert k_max <= lam
+    assert np.min(spectrum.real) >= 0.0
+
+
 def test_mass_positivity_guard():
     L = 8
     d = sample_disorder(L, "rademacher", seed=1)
@@ -221,6 +325,22 @@ def test_wkb_state_warns_when_packet_leaks():
     with pytest.warns(UserWarning, match="outside the box"):
         wkb_state(8, 0.5, packet.envelope, packet.phase)
     assert envelope_mass_outside(8, 0.5, packet.envelope) > 0.01
+
+
+def doubled_box_mass_outside(L, eps, envelope):
+    """The envelope mass fraction outside the box, summed over all (2L)^3
+    sites of the doubled box."""
+    mass = np.asarray(envelope(macro_grid(2 * L, eps)), dtype=np.float64) ** 2
+    near = np.abs(eps * signed_axis(2 * L)) < eps * (L / 2.0)
+    return 1.0 - float(np.sum(mass[np.ix_(near, near, near)])) / float(np.sum(mass))
+
+
+@pytest.mark.parametrize("L, eps", [(8, 0.5), (16, 0.25), (64, 0.125), (64, 0.5)])
+@pytest.mark.parametrize("sigma", [0.5, 1.3, 4.0])
+def test_envelope_mass_outside_factors_by_axis(L, eps, sigma):
+    envelope = WKBPacket(k0=(0.125, 0.0, 0.0), sigma=sigma, amplitude=0.7).envelope
+    assert envelope_mass_outside(L, eps, envelope) == pytest.approx(
+        doubled_box_mass_outside(L, eps, envelope), abs=1e-12)
 
 
 def test_point_state_placement():

@@ -44,11 +44,11 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_verlet_and_energy_use_no_fft():
-    """The lattice force is a real-space stencil: neither evolve nor energy,
-    nor any lattice function they reach, calls into numpy.fft."""
+    """The lattice force is a real-space stencil: neither evolve, propagate
+    nor energy, nor any lattice function they reach, calls into numpy.fft."""
     tree = _modules()["lattice"]
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["evolve", "energy"]
+    reached, todo = set(), ["evolve", "propagate", "energy"]
     while todo:
         name = todo.pop()
         if name in reached:
@@ -62,7 +62,7 @@ def test_verlet_and_energy_use_no_fft():
         or (isinstance(node, ast.Name) and "fft" in node.id)
     )
     assert offenders == []
-    assert {"evolve", "energy", "_convolve"} <= reached
+    assert {"evolve", "propagate", "energy", "_convolve"} <= reached
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():

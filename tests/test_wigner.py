@@ -7,12 +7,13 @@ from kinwave.dispersion import couplings_nn
 from kinwave import wigner
 from kinwave.errors import ConfigError
 from kinwave.initial import WKBPacket
-from kinwave.lattice import evolve, from_wavefunction, sample_disorder, to_wavefunction
+from kinwave.lattice import from_wavefunction, propagate, sample_disorder, to_wavefunction
 from kinwave.wigner import (
     Observable,
     RunConfig,
     disorder_average,
     energy_density_pairing,
+    f_row,
     f_transform,
     initial_wavefunction,
 )
@@ -59,6 +60,20 @@ def test_zero_mode_dominates():
         assert abs(f_transform(psi, 0.5, obs)) <= norm * (1 + 1e-12)
 
 
+def test_f_row_is_one_f_transform_per_observable():
+    """The row groups observables by shift n, forming each shift product
+    once; every entry is bitwise the f_transform of its observable."""
+    from kinwave.harness import DEFAULT_OBSERVABLES
+
+    psi = random_psi(12, 8)
+    observables = [*DEFAULT_OBSERVABLES, Observable(p=(0.5, -1.0, 0.25), n=(1, 0, 0))]
+    assert len({o.n for o in observables}) < len(observables)
+    row = f_row(psi, 0.125, observables)
+    assert row.tolist() == [f_transform(psi, 0.125, o) for o in observables]
+    with pytest.raises(ConfigError):
+        f_row(psi, 0.125, [Observable(p=(0.0, 0.0, 0.0), n=(7, 0, 0))])
+
+
 def test_shift_bound():
     psi = random_psi(8, 6)
     with pytest.raises(ConfigError):
@@ -91,8 +106,17 @@ def test_run_config_validation():
 
 
 def test_disorder_average_requires_observables():
+    """A run needs something to measure: observables, a pairing, or both.
+    A pairing alone measures no F row at all."""
     with pytest.raises(ConfigError):
         disorder_average(run_config(), [])
+    res = disorder_average(run_config(pairing=bump), [])
+    assert res.estimates == []
+    assert res.pairing_t.shape == (4,)
+    assert res.bound_ok
+    both = disorder_average(run_config(pairing=bump), [ZERO])
+    assert res.pairing_t.tolist() == both.pairing_t.tolist()
+    assert res.norm_mean == both.norm_mean
 
 
 ZERO = Observable(p=(0.0, 0.0, 0.0), n=(0, 0, 0))
@@ -103,7 +127,7 @@ MODES = [ZERO, Observable(p=(0.5, 0.0, 0.0), n=(0, 0, 0)),
 def test_rescaled_convention_pins_the_norm():
     """Inverting the disordered wave map per realization makes F(0,0) start
     at the wave norm exactly; at t = 0 its spread across realizations is fp
-    noise, and after evolving it moves only by the integrator drift."""
+    noise, and the exact propagation keeps it there to rounding."""
     norm0 = float(np.sum(np.abs(initial_wavefunction(PACKET, 16, 0.25)) ** 2))
 
     at0 = disorder_average(run_config(t_bar=0.0), MODES)
@@ -112,7 +136,7 @@ def test_rescaled_convention_pins_the_norm():
 
     res = disorder_average(run_config(), MODES)
     zero = res.estimates[0]
-    assert zero.mean.real == pytest.approx(norm0, rel=1e-3)
+    assert zero.mean.real == pytest.approx(norm0, rel=1e-12)
     assert zero.stderr_re < 1e-4 * zero.mean.real
     assert res.bound_ok
     assert res.n_dropped == 0
@@ -155,7 +179,8 @@ def test_one_wave_map_per_realization(monkeypatch):
 
 def test_pairing_matches_energy_density_pairing_and_workers():
     """The pairing each realization measures is energy_density_pairing of
-    its evolved state, and a process pool reproduces the serial run bitwise."""
+    its propagated state, and a process pool reproduces the serial run
+    bitwise."""
     config = run_config(convention="direct", pairing=bump)
     serial = disorder_average(config, MODES)
     pooled = disorder_average(replace(config, workers=2), MODES)
@@ -166,7 +191,7 @@ def test_pairing_matches_energy_density_pairing_and_workers():
     psi0 = initial_wavefunction(PACKET, config.L, config.eps)
     state0 = from_wavefunction(psi0, C)
     d = sample_disorder(config.L, config.distribution, seed=(config.seed, 0))
-    state_t = evolve(state0, d, config.eps, C, config.t_bar / config.eps)
+    state_t = propagate(state0, d, config.eps, C, config.t_bar / config.eps)
     assert serial.pairing_t[0] == energy_density_pairing(state_t, d, config.eps, C, bump)
 
 
