@@ -114,7 +114,6 @@ _OBSERVABLES = {
 _COMMON = {
     "master_seed": {"type": "integer"},
     "output_dir": {"type": "string"},
-    "workers": {"type": "integer", "minimum": 1},
 }
 
 _SCHEMAS = {
@@ -202,6 +201,7 @@ _SCHEMAS = {
             "xi2": {"type": "number", "exclusiveMinimum": 0},
             "particles": {"type": "integer", "minimum": 1000},
             "resume": {"type": "boolean"},
+            "workers": {"type": "integer", "minimum": 1},
             **_COMMON,
         },
         "required": ["master_seed"],
@@ -354,7 +354,7 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
     table = build_collision_table(grid, beta=doc.get("beta"),
                                   xi2=doc.get("xi2", 1.0))
     rng = np.random.default_rng((doc["master_seed"], 505))
-    ens = sample_initial(initial, doc["particles"], initial.mass, table, rng)
+    ens = sample_initial(initial, doc["particles"], table, rng)
     ens, counts = simulate(ens, table, doc["t_bar"], rng)
     estimates = characteristic_function(ens, observables)
     io.write_estimates_csv(
@@ -377,9 +377,9 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
 
 def _cmd_compare(doc: dict, out_dir: Path, dry: bool) -> None:
     cfg = StudyConfig.from_obj(doc)
-    grid = build_dispersion(cfg.couplings, cfg.M)
-    cfg.validate(grid.max_group_speed)
     if dry:
+        # a full run validates inside run_convergence, before it writes anything
+        cfg.validate(build_dispersion(cfg.couplings, cfg.M).max_group_speed)
         return
     report, transport = run_study(cfg, out_dir=out_dir, resume=doc.get("resume", True))
     io.write_json(out_dir / "summary.json", {

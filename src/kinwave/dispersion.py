@@ -328,6 +328,16 @@ def find_critical_points(
     return out
 
 
+def _loglog_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope of log y against log x (at least three points)
+    and its standard error."""
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    var = float(np.sum(resid**2) / (lx.size - 2) / np.sum((lx - lx.mean()) ** 2))
+    return float(slope), float(np.sqrt(var))
+
+
 @dataclass(frozen=True)
 class DecayFit:
     slope: float
@@ -374,15 +384,10 @@ def decay_exponent(
     n_used = int(np.sum(usable))
     if n_used < 5:
         raise FitError(f"only {n_used} sample times above the noise floor")
-    x = np.log(ts[usable])
-    y = np.log(amp[usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = n_used - 2
-    var_slope = float(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2))
+    slope, stderr = _loglog_fit(ts[usable], amp[usable])
     return DecayFit(
-        slope=float(slope),
-        stderr=float(np.sqrt(var_slope)),
+        slope=slope,
+        stderr=stderr,
         n_used=n_used,
         times=ts,
         amplitudes=amp,
@@ -452,9 +457,5 @@ def crossing_sweep(
         crossing_integral_estimate(c, alpha, b, signs, u, n_samples, seed + i)
         for i, b in enumerate(betas)
     ]
-    x = np.log([e.beta for e in ests])
-    y = np.log([e.value for e in ests])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    var = float(np.sum(resid**2) / max(len(x) - 2, 1) / np.sum((x - x.mean()) ** 2))
-    return ests, float(slope), float(np.sqrt(var))
+    slope, stderr = _loglog_fit([e.beta for e in ests], [e.value for e in ests])
+    return ests, slope, stderr

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import time as _time
 import warnings
-import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -46,7 +45,6 @@ from . import io
 from .dispersion import (
     TWO_PI,
     Couplings,
-    DispersionGrid,
     build_dispersion,
     couplings_nn,
     decay_exponent,
@@ -365,27 +363,9 @@ def _stage(base: Path | None, name: str, meta: dict, resume: bool, compute) -> d
     return payload
 
 
-def _collision_table(cfg: StudyConfig, grid: DispersionGrid, obj: dict,
-                     base: Path | None, resume: bool):
-    """The study's collision table, cached in base/table_<hash12>.npz.  A
-    cached table that cannot be read or was built for another config is
-    reported and rebuilt."""
-    cfg_hash = io.config_hash(obj)
-    path = base / f"table_{cfg_hash[:12]}.npz" if base is not None else None
-    if path is not None and resume and path.exists():
-        try:
-            return io.load_collision_table(path, cfg_hash)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-            warnings.warn(f"unusable table {path} ({exc}); rebuilding", stacklevel=2)
-    table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)
-    if path is not None:
-        io.save_collision_table(path, table, config_obj=obj)
-    return table
-
-
 def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     rng = _rng(cfg.master_seed, _LANE_JUMP)
-    ens0 = sample_initial(cfg.initial, cfg.particles, cfg.initial.mass, table, rng)
+    ens0 = sample_initial(cfg.initial, cfg.particles, table, rng)
     ens_t, counts = simulate(ens0, table, cfg.t_bar, rng)
     ests = characteristic_function(ens_t, cfg.observables)
     pairing_t = 2.0 * float(np.sum(ens_t.weights * gaussian_bump(ens_t.x)))
@@ -456,7 +436,7 @@ def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
     # the table, and the sampler envelope cached on it, lives only inside this
     # stage, so it is freed before the lattice rungs run
     ref = _stage(base, "reference", meta, resume, lambda: _boltzmann_reference(
-        cfg, _collision_table(cfg, grid, obj, base, resume)))
+        cfg, build_collision_table(grid, beta=cfg.beta, xi2=cfg.xi2)))
     ref_means = _complexes(ref["means"])
     rungs = [
         EpsilonRung.from_obj(_stage(
@@ -775,7 +755,7 @@ def solver_crosscheck(cfg: StudyConfig = DEFAULT_STUDY) -> CrosscheckReport:
     grid = build_dispersion(cfg.couplings, cfg.M)
     table = build_collision_table(grid, beta=cfg.beta, xi2=cfg.crosscheck_xi2)
     rng = _rng(cfg.master_seed, _LANE_CROSSCHECK)
-    ens0 = sample_initial(cfg.initial, cfg.particles, cfg.initial.mass, table, rng)
+    ens0 = sample_initial(cfg.initial, cfg.particles, table, rng)
     ens_t, counts = simulate(ens0, table, cfg.t_bar, rng)
     jump = characteristic_function(ens_t, cfg.observables)
     dyson, tail, _ = dyson_characteristic(

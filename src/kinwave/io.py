@@ -155,7 +155,7 @@ def load_state(path: str | Path) -> tuple[LatticeState, dict]:
 
 
 def save_collision_table(path: str | Path, table: CollisionTable, config_obj: Any = None) -> Path:
-    """Cache a rate table; the dispersion grid is rebuilt from couplings on load."""
+    """Write a rate table; the dispersion grid is rebuilt from couplings on load."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -172,15 +172,15 @@ def save_collision_table(path: str | Path, table: CollisionTable, config_obj: An
         np.savez_compressed(
             fh,
             sigma=table.sigma,
-            max_neighbor_diff=np.float64(table.max_neighbor_diff),
             meta=np.frombuffer(canonical_json(meta).encode("utf-8"), dtype=np.uint8),
         )
     return path
 
 
 def load_collision_table(path: str | Path, cfg_hash: str) -> CollisionTable:
-    """Read back a table cached for the config with hash cfg_hash; a table
-    saved for any other config is refused with ConfigError."""
+    """Read back a table saved for the config with hash cfg_hash; a table
+    saved for any other config is refused with ConfigError.  Members other
+    than sigma and meta are ignored."""
     with np.load(path) as pack:
         meta = json.loads(bytes(pack["meta"]).decode("utf-8"))
         if meta.get("format") != "kinwave-table-1":
@@ -188,17 +188,12 @@ def load_collision_table(path: str | Path, cfg_hash: str) -> CollisionTable:
         if meta.get("config_hash") != cfg_hash:
             raise ConfigError(f"{path}: table was built for another config")
         sigma = np.array(pack["sigma"], dtype=np.float64)
-        max_nb = float(pack["max_neighbor_diff"])
     couplings = couplings_from_obj(meta["couplings"], tag=meta.get("tag"))
     grid = build_dispersion(couplings, int(meta["M"]))
     if sigma.shape != (grid.M,) * 3:
         raise ConfigError(f"{path}: sigma shape {sigma.shape} != grid {(grid.M,) * 3}")
     return CollisionTable(
-        grid=grid,
-        beta=float(meta["beta"]),
-        xi2=float(meta["xi2"]),
-        sigma=sigma,
-        max_neighbor_diff=max_nb,
+        grid=grid, beta=float(meta["beta"]), xi2=float(meta["xi2"]), sigma=sigma
     )
 
 

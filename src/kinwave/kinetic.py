@@ -67,7 +67,6 @@ class CollisionTable:
     beta: float
     xi2: float
     sigma: np.ndarray          # (M, M, M) total rate
-    max_neighbor_diff: float   # Lipschitz report: worst |sigma(k+e) - sigma(k)|
 
     @cached_property
     def sigma_flat(self) -> np.ndarray:
@@ -184,13 +183,7 @@ def build_collision_table(
             f"total rate left its analytic window (0, {bound:.3g}]: "
             f"[{sigma.min():.3g}, {sigma.max():.3g}]"
         )
-    diffs = [
-        float(np.max(np.abs(np.roll(sigma, -1, axis=a) - sigma))) for a in range(3)
-    ]
-    return CollisionTable(
-        grid=grid, beta=float(beta), xi2=float(xi2), sigma=sigma,
-        max_neighbor_diff=max(diffs),
-    )
+    return CollisionTable(grid=grid, beta=float(beta), xi2=float(xi2), sigma=sigma)
 
 
 def _linear_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,9 +202,11 @@ def pair_rate(table: CollisionTable, k_idx, kp_idx) -> np.ndarray:
     return 2.0 * table.xi2 * table.beta * wp**2 / ((wk - wp) ** 2 + table.beta**2)
 
 
-def sample_jump(table: CollisionTable, k_idx, rng: np.random.Generator):
-    """Draw post-collision wavevectors: k' with probability proportional to
-    R(k, k') over the grid.
+def sample_jump(
+    table: CollisionTable, k_idx: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw post-collision wavevectors: for each flat grid index k of the 1-D
+    array k_idx, k' with probability proportional to R(k, k') over the grid.
 
     Exact rejection sampling against the table's shell envelope: each
     proposal draws a shell b with probability proportional to
@@ -219,8 +214,7 @@ def sample_jump(table: CollisionTable, k_idx, rng: np.random.Generator):
     draw per proposal), and accepts with probability u(k, k') / cap[a(k), b].
     Aborts when the running acceptance rate degenerates below 1e-4.
     """
-    scalar = np.isscalar(k_idx) or np.ndim(k_idx) == 0
-    k_arr = np.atleast_1d(np.asarray(k_idx, dtype=np.int64))
+    k_arr = np.asarray(k_idx, dtype=np.int64)
     out = np.empty_like(k_arr)
     env = table.shell_envelope
     n_shells = env.count.size
@@ -248,7 +242,7 @@ def sample_jump(table: CollisionTable, k_idx, rng: np.random.Generator):
             raise SamplingError(
                 f"jump acceptance rate {n_acc / n_prop:.2e} below 1e-4"
             )
-    return int(out[0]) if scalar else out
+    return out
 
 
 @dataclass
@@ -273,7 +267,6 @@ class ParticleEnsemble:
 def sample_initial(
     initial: WKBPacket | PointSource,
     n: int,
-    total_mass: float,
     table: CollisionTable,
     rng: np.random.Generator,
 ) -> ParticleEnsemble:
@@ -283,7 +276,7 @@ def sample_initial(
     |h(x)|^2 (WKBPacket.sample_positions), wavevector the nearest grid point
     to grad S / 2 pi at the sampled position.  Point data: all particles at
     the origin, wavevectors drawn from the squared Fourier amplitudes on the
-    grid.  Weights are uniform and sum to total_mass.
+    grid.  Weights are uniform and sum to the mass of the wave data.
     """
     if n < 1:
         raise ConfigError("need at least one particle")
@@ -304,7 +297,7 @@ def sample_initial(
     return ParticleEnsemble(
         x=x,
         k_idx=np.asarray(k_idx, dtype=np.int64),
-        weights=np.full(n, total_mass / n),
+        weights=np.full(n, initial.mass / n),
         grid=grid,
     )
 
@@ -502,7 +495,7 @@ def dyson_characteristic(
     if t_bar < 0.0:
         raise ConfigError("t_bar must be nonnegative")
     rng = rng or np.random.default_rng(0)
-    ens = sample_initial(initial, n_mc, initial.mass, table, rng)
+    ens = sample_initial(initial, n_mc, table, rng)
     sigma = table.sigma_flat
     grad = table.grid.grad_flat
 
@@ -514,23 +507,26 @@ def dyson_characteristic(
     sig = [sigma[idx] for idx in chain]
     gvel = [grad[idx] for idx in chain]
 
-    n_obs = len(observables)
-    totals = np.zeros((n_obs, n_mc), dtype=np.complex128)
+    # orders 0..m_max enter the estimates; the last pass, q = m_max + 1, is
+    # the leading missing term
+    q = m_max + 1
+    totals = np.zeros((len(observables), n_mc), dtype=np.complex128)
     prefac = np.ones(n_mc)
-    for m in range(m_max + 1):
-        if m > 0:
-            prefac = prefac * sig[m - 1]
+    for m in range(q + 1):
         if m == 0:
             r = np.full((n_mc, 1), t_bar)
         else:
+            prefac = prefac * sig[m - 1]
             u = np.sort(rng.random((n_mc, m)), axis=1)
             bounds = np.concatenate(
                 [np.zeros((n_mc, 1)), u, np.ones((n_mc, 1))], axis=1
             )
             r = np.diff(bounds, axis=1) * t_bar
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
-        vol = t_bar**m / math.factorial(m)
-        base = prefac * decay * vol
+        if m == q:
+            lead = float(np.sum(ens.weights * prefac * decay)) * t_bar**q / math.factorial(q)
+            break
+        base = prefac * decay * (t_bar**m / math.factorial(m))
         # flight displacement over the m + 1 segments, shared by every observable
         drift = sum(r[:, j, None] * gvel[j] for j in range(m + 1))
         for i, obs in enumerate(observables):
@@ -548,14 +544,6 @@ def dyson_characteristic(
             )
         )
 
-    # leading missing term, order q = m_max + 1, from the extended chain
-    q = m_max + 1
-    prefac = prefac * sig[m_max]
-    u = np.sort(rng.random((n_mc, q)), axis=1)
-    bounds = np.concatenate([np.zeros((n_mc, 1)), u, np.ones((n_mc, 1))], axis=1)
-    r = np.diff(bounds, axis=1) * t_bar
-    decay = np.exp(-sum(r[:, j] * sig[j] for j in range(q + 1)))
-    lead = float(np.sum(ens.weights * prefac * decay)) * t_bar**q / math.factorial(q)
     ratio = table.sigma_max * t_bar / (q + 1)
     if ratio < 1.0:
         tail = lead / (1.0 - ratio)

@@ -242,31 +242,38 @@ def test_compare_refuses_a_shift_longer_than_half_a_box(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_compare_rebuilds_an_unusable_collision_table(tmp_path):
-    """A cached table built for another config, or cut off, is rebuilt with a
-    warning instead of being trusted: the recomputed reference equals the
-    cold one."""
-    from kinwave.dispersion import build_dispersion, couplings_nn
-    from kinwave.kinetic import build_collision_table
-
+def test_compare_writes_no_table_and_recomputes_a_missing_reference(tmp_path):
+    """The stage files are the study's only cache: compare writes no
+    collision table, and a rerun after the reference stage is deleted rebuilds
+    the table and rewrites the cold run's report.json byte for byte."""
     out = tmp_path / "out"
     path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
     assert cli.dispatch(["compare", "--config", str(path)]) == 0
     cold = (out / "report.json").read_bytes()
-    (table_path,) = out.glob("table_*.npz")
-    foreign = tmp_path / "foreign.npz"
-    io.save_collision_table(
-        foreign, build_collision_table(build_dispersion(couplings_nn(1.0), 8), beta=0.5),
-        config_obj={**SMALL_COMPARE, "beta": 0.5})
-    planted = {"another config": foreign.read_bytes(),
-               "unusable table": table_path.read_bytes()[:100]}
-    for message, blob in planted.items():
-        table_path.write_bytes(blob)
-        for stage in out.glob("reference_*.json"):
-            stage.unlink()
-        with pytest.warns(UserWarning, match=message):
-            assert cli.dispatch(["compare", "--config", str(path)]) == 0
-        assert (out / "report.json").read_bytes() == cold
+    assert not list(out.glob("table_*.npz"))
+    (stage,) = out.glob("reference_*.json")
+    stage.unlink()
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    assert stage.exists()
+    assert (out / "report.json").read_bytes() == cold
+    assert not list(out.glob("table_*.npz"))
+
+
+def test_workers_is_a_compare_key_only(tmp_path, capsys):
+    """Only compare runs realizations in parallel; every other subcommand
+    refuses a workers key as unknown instead of ignoring it."""
+    boltzmann = {"couplings": NN_COUPLINGS, "M": 8,
+                 "initial": {"type": "wkb", "k0": [0.125, 0.0, 0.0], "sigma": 0.5},
+                 "t_bar": 0.2, "particles": 2000, "master_seed": 37,
+                 "output_dir": str(tmp_path / "b"), "workers": 2}
+    path = write_config(tmp_path, "b.json", boltzmann)
+    assert cli.dispatch(["boltzmann", "--config", str(path)]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "workers": 2})
+    assert cli.dispatch(["compare", "--config", str(path), "--validate-only"]) == 0
+    for sub, schema in cli._SCHEMAS.items():
+        assert ("workers" in schema["properties"]) == (sub == "compare")
 
 
 def test_asymmetric_couplings_exit_one(tmp_path, capsys):

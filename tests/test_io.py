@@ -79,6 +79,19 @@ def test_collision_table_roundtrip(tmp_path):
         io.load_collision_table(path, io.config_hash({"M": 12}))
 
 
+def test_collision_table_with_extra_members_loads(tmp_path):
+    """Tables written with an extra member (the former max_neighbor_diff
+    report) still load: the reader takes sigma and meta only."""
+    grid = build_dispersion(couplings_nn(1.0), 8)
+    table = build_collision_table(grid, beta=0.4, xi2=0.5)
+    path = io.save_collision_table(tmp_path / "table.npz", table, config_obj={"M": 8})
+    with np.load(path) as pack:
+        members = {name: pack[name] for name in pack.files}
+    np.savez_compressed(path, **members, max_neighbor_diff=np.float64(0.1))
+    back = io.load_collision_table(path, io.config_hash({"M": 8}))
+    np.testing.assert_array_equal(back.sigma, table.sigma)
+
+
 def test_estimates_csv_layout(tmp_path):
     path = tmp_path / "est.csv"
     io.write_estimates_csv(path, [Observable(p=(0.5, 0.0, 0.0), n=(1, 0, 0))],

@@ -203,7 +203,7 @@ def test_jump_acceptance_at_the_study_packet():
 def test_packet_positions_are_gaussian():
     """|h(x)|^2 ~ exp(-|x|^2 / sigma^2): N(0, sigma^2 / 2) on each axis."""
     n = 20000
-    ens = sample_initial(PACKET, n, PACKET.mass, TABLE, np.random.default_rng(4))
+    ens = sample_initial(PACKET, n, TABLE, np.random.default_rng(4))
     scale = PACKET.sigma / np.sqrt(2.0)
     for axis in range(3):
         assert scipy.stats.kstest(ens.x[:, axis], "norm", args=(0.0, scale)).pvalue > 0.01
@@ -214,7 +214,7 @@ def test_packet_positions_are_gaussian():
 
 def test_sample_initial_mass_and_support():
     rng = np.random.default_rng(5)
-    ens = sample_initial(PACKET, 5000, PACKET.mass, TABLE, rng)
+    ens = sample_initial(PACKET, 5000, TABLE, rng)
     assert ens.n == 5000
     assert ens.weights.sum() == pytest.approx(PACKET.mass, rel=1e-12)
     # packet wavevectors concentrate near k0 (sigma = 0.5: spread ~ 1/(2 pi))
@@ -226,13 +226,13 @@ def test_sample_initial_mass_and_support():
 def test_point_source_sampling_sits_at_the_origin():
     src = PointSource.from_dict({(0, 0, 0): 1.0 + 0j})
     rng = np.random.default_rng(6)
-    ens = sample_initial(src, 2000, src.mass, TABLE, rng)
+    ens = sample_initial(src, 2000, TABLE, rng)
     assert np.max(np.abs(ens.x)) == 0.0
 
 
 def test_simulate_conserves_mass_and_counts_collisions():
     rng = np.random.default_rng(7)
-    ens = sample_initial(PACKET, 4000, PACKET.mass, TABLE, rng)
+    ens = sample_initial(PACKET, 4000, TABLE, rng)
     w_before = ens.weights.copy()
     out, counts = simulate(ens, TABLE, 0.8, rng)
     np.testing.assert_array_equal(out.weights, w_before)
@@ -245,7 +245,7 @@ def test_simulate_conserves_mass_and_counts_collisions():
 
 def test_characteristic_function_mass_channel():
     rng = np.random.default_rng(8)
-    ens = sample_initial(PACKET, 3000, PACKET.mass, TABLE, rng)
+    ens = sample_initial(PACKET, 3000, TABLE, rng)
     est = characteristic_function(ens, [ZERO])[0]
     assert est.mean == pytest.approx(PACKET.mass, rel=1e-12)
     assert est.stderr_re < 1e-12
@@ -319,12 +319,30 @@ def test_dyson_characteristic_small():
     )
     assert tail10 < tail
 
-    ens = sample_initial(PACKET, 40000, PACKET.mass, table, rng)
+    ens = sample_initial(PACKET, 40000, table, rng)
     ens, _ = simulate(ens, table, t_bar, rng)
     ref = characteristic_function(ens, [ZERO])[0]
     gap = abs(ests[0].mean - ref.mean)
     budget = tail + 3.0 * math.hypot(ests[0].stderr_re, ests[0].stderr_im) + 3.0 * ref.stderr_re
     assert gap <= budget
+
+
+def test_dyson_characteristic_is_pinned():
+    """Means and tail bound at a fixed seed are pinned to 1e-12: the order
+    loop, whose last pass samples the leading missing term, must keep drawing
+    the same random numbers in the same order."""
+    table = build_collision_table(GRID, beta=0.3, xi2=0.25)
+    obs = [ZERO, Observable(p=(0.5, 0.0, 0.0), n=(1, 0, 0))]
+    ests, tail, tail_ok = dyson_characteristic(
+        PACKET, table, 0.5, obs, m_max=4, n_mc=2000, rng=np.random.default_rng(22),
+    )
+    # sigma_max t / (m_max + 2) < 1: the bound comes from the sampled lead term
+    assert table.sigma_max * 0.5 / 6 < 1.0
+    pinned = [0.6792798954052335 + 0.0j, 0.2790887476842712 - 0.00024326841182863374j]
+    for est, ref in zip(ests, pinned):
+        assert abs(est.mean - ref) <= 1e-12
+    assert tail == pytest.approx(0.021320985717375316, rel=1e-12)
+    assert not tail_ok
 
 
 def test_dyson_validation():

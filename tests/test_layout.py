@@ -90,3 +90,24 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"kinwave.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_every_subcommand_reads_each_key_it_accepts():
+    """A key that a subcommand's schema accepts but its handler never reads
+    would be silently ignored: each schema property other than output_dir
+    appears as a string constant in that subcommand's _cmd_<name> handler.
+    compare hands its document to StudyConfig, whose fields
+    test_compare_schema_covers_the_study_fields checks."""
+    from kinwave import cli
+
+    handlers = {node.name: node for node in _modules()["cli"].body
+                if isinstance(node, ast.FunctionDef)}
+    ignored = []
+    for sub, schema in cli._SCHEMAS.items():
+        if sub == "compare":
+            continue
+        read = {node.value for node in ast.walk(handlers[f"_cmd_{sub}"])
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        ignored += [f"{sub}.{key}" for key in schema["properties"]
+                    if key != "output_dir" and key not in read]
+    assert ignored == []
