@@ -259,10 +259,6 @@ class ParticleEnsemble:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def k(self) -> np.ndarray:
-        """Wavevectors in [0,1)^3, shape (n, 3)."""
-        return self.grid.k_of(self.k_idx)
-
 
 def sample_initial(
     initial: WKBPacket | PointSource,
@@ -357,16 +353,64 @@ def _jackknife(weights: np.ndarray, z: np.ndarray) -> tuple[complex, float, floa
     return complex(total), float(np.sqrt(var_re)), float(np.sqrt(var_im))
 
 
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) from one cos and one sin pass, about half the cost of
+    np.exp of a complex argument."""
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _nonzero_modes(modes) -> list:
+    """The distinct nonzero vectors among modes, in first-seen order."""
+    return [v for v in dict.fromkeys(modes) if any(v)]
+
+
+def _position_phases(x: np.ndarray, observables) -> dict:
+    """exp(-i 2 pi p.x) for each distinct nonzero p of the observables."""
+    return {p: _expi(-TWO_PI * (x @ np.asarray(p)))
+            for p in _nonzero_modes(obs.p for obs in observables)}
+
+
+def _shift_tables(grid: DispersionGrid, observables) -> dict:
+    """exp(i 2 pi n.k) on the flat grid for each distinct nonzero shift n.
+
+    On the grid k = m/M, so the factor is the M-th root of unity of index
+    n.m mod M: one root table, gathered by integer residues.  The residues
+    are formed on the (M, M, M) grid and flattened like omega_flat.  Each
+    table has M^3 entries and lives only as long as its caller.
+    """
+    M = grid.M
+    roots = np.exp(1j * TWO_PI / M * np.arange(M))
+    m = np.arange(M)
+    tables = {}
+    for n in _nonzero_modes(obs.n for obs in observables):
+        residue = (n[0] * m[:, None, None] + n[1] * m[None, :, None]
+                   + n[2] * m[None, None, :]) % M
+        tables[n] = roots[residue.reshape(-1)]
+    return tables
+
+
 def characteristic_function(
     ens: ParticleEnsemble, observables
 ) -> list[TransportEstimate]:
-    """sum_j w_j exp(-i 2 pi (p.x_j - n.k_j)) with jackknife standard errors."""
-    kc = ens.k()
+    """sum_j w_j exp(-i 2 pi (p.x_j - n.k_j)) with jackknife standard errors.
+
+    The phase factors by mode: exp(-i 2 pi p.x) costs one cos/sin pass per
+    distinct nonzero p, and exp(i 2 pi n.k) is gathered by flat grid index
+    from a root-of-unity table per distinct nonzero n, so the trigonometric
+    work scales with the number of distinct modes, not of observables.
+    """
+    position = _position_phases(ens.x, observables)
+    shift = {n: tab[ens.k_idx] for n, tab in _shift_tables(ens.grid, observables).items()}
     out = []
     for obs in observables:
-        p = np.asarray(obs.p, dtype=np.float64)
-        nn = np.asarray(obs.n, dtype=np.float64)
-        z = np.exp(-1j * TWO_PI * (ens.x @ p - kc @ nn))
+        xp, kn = position.get(obs.p), shift.get(obs.n)
+        if xp is None and kn is None:
+            z = np.ones(ens.n, dtype=np.complex128)
+        else:
+            z = kn if xp is None else xp if kn is None else xp * kn
         mean, se_re, se_im = _jackknife(ens.weights, z)
         out.append(
             TransportEstimate(
@@ -478,6 +522,13 @@ def dyson_characteristic(
     jump carries its total rate as weight) and integrates the m+1 flight
     segments over the scaled time simplex by Monte Carlo (volume t^m / m!).
 
+    The phase exp(-i p.(2 pi x + drift) + i 2 pi n.k_m) factors by mode, as in
+    characteristic_function: each order pays one cos/sin pass per distinct
+    nonzero p for its flight drift and gathers exp(i 2 pi n.k_m) from the
+    root-of-unity table of each distinct nonzero n, built once per call.  The
+    position factor exp(-i 2 pi p.x) does not depend on the order and is
+    applied once, after the sum over orders.
+
     Truncation at m_max is reported as a bound on the modulus of the missing
     sum, valid for every observable at once because each term's phase factor
     has modulus one: the leading missing term (order m_max + 1) is estimated
@@ -503,13 +554,14 @@ def dyson_characteristic(
     chain = [ens.k_idx]
     for _ in range(m_max + 1):
         chain.append(sample_jump(table, chain[-1], rng))
-    kcoord = [table.grid.k_of(idx) for idx in chain]
     sig = [sigma[idx] for idx in chain]
     gvel = [grad[idx] for idx in chain]
 
     # orders 0..m_max enter the estimates; the last pass, q = m_max + 1, is
     # the leading missing term
     q = m_max + 1
+    flight_modes = _nonzero_modes(obs.p for obs in observables)
+    shift_tables = _shift_tables(table.grid, observables)
     totals = np.zeros((len(observables), n_mc), dtype=np.complex128)
     prefac = np.ones(n_mc)
     for m in range(q + 1):
@@ -529,11 +581,17 @@ def dyson_characteristic(
         base = prefac * decay * (t_bar**m / math.factorial(m))
         # flight displacement over the m + 1 segments, shared by every observable
         drift = sum(r[:, j, None] * gvel[j] for j in range(m + 1))
-        for i, obs in enumerate(observables):
-            p = np.asarray(obs.p, dtype=np.float64)
-            nn = np.asarray(obs.n, dtype=np.float64)
-            phase = -(drift @ p) - TWO_PI * (ens.x @ p) + TWO_PI * (kcoord[m] @ nn)
-            totals[i] += base * np.exp(1j * phase)
+        flight = {p: base * _expi(-(drift @ np.asarray(p))) for p in flight_modes}
+        shift = {n: tab[chain[m]] for n, tab in shift_tables.items()}
+        for row, obs in zip(totals, observables):
+            term = flight.get(obs.p, base)
+            kn = shift.get(obs.n)
+            row += term if kn is None else term * kn
+    # exp(-i 2 pi p.x) does not depend on the order: one factor after the sum
+    position = _position_phases(ens.x, observables)
+    for row, obs in zip(totals, observables):
+        if obs.p in position:
+            row *= position[obs.p]
 
     estimates = []
     for i, obs in enumerate(observables):

@@ -19,6 +19,8 @@ sum conj(f(eps y)) e_y with the site energy density e_y = 2 |psi_y|^2.
 
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +61,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Observable:
     """One (p, n) mode: macroscopic wavenumber p, integer lattice shift n.
-    Its JSON form is the pair [p, n]."""
+    Its JSON form is the pair [p, n].  p must be finite and n integral; an
+    integral float such as 1.0 is stored as the int 1, and 1.9 is refused,
+    not truncated."""
 
     p: tuple[float, float, float]
     n: tuple[int, int, int]
@@ -67,6 +71,14 @@ class Observable:
     def __post_init__(self):
         if len(self.p) != 3 or len(self.n) != 3:
             raise ConfigError("p and n must be 3-vectors")
+        p = tuple(_real(x, "wavenumber") for x in self.p)
+        if not all(math.isfinite(x) for x in p):
+            raise ConfigError(f"wavenumber {self.p} is not finite")
+        n = tuple(_real(x, "shift") for x in self.n)
+        if not all(x.is_integer() for x in n):
+            raise ConfigError(f"shift {self.n} is not an integer vector")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", tuple(int(x) for x in n))
 
     def check_shift(self, L: int) -> None:
         """Refuse a shift longer than half the box L, which F cannot resolve."""
@@ -78,8 +90,13 @@ class Observable:
 
     @staticmethod
     def from_obj(pair) -> "Observable":
-        return Observable(p=tuple(float(x) for x in pair[0]),
-                          n=tuple(int(x) for x in pair[1]))
+        return Observable(p=tuple(pair[0]), n=tuple(pair[1]))
+
+
+def _real(x, what: str) -> float:
+    if not isinstance(x, numbers.Real):
+        raise ConfigError(f"{what} component {x!r} is not a real number")
+    return float(x)
 
 
 def _shift_product(psi_plus: np.ndarray, n: tuple[int, int, int]) -> np.ndarray:

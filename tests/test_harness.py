@@ -221,6 +221,20 @@ def test_study_from_obj_coerces_numbers():
     assert isinstance(cfg.master_seed, int) and cfg.workers == 2
 
 
+def test_study_from_obj_refuses_a_fractional_shift():
+    """An observable shift of 1.9 is refused, not truncated to 1; 1.0 is the
+    shift 1 and keeps the config hash of the integer spelling."""
+    doc = {"master_seed": 7, "observables": [[[0, 0, 0], [0, 0, 0]],
+                                             [[0.5, 0, 0], [1.9, 0, 0]]]}
+    with pytest.raises(ConfigError, match="shift"):
+        StudyConfig.from_obj(doc)
+    doc["observables"][1][1] = [1.0, 0, 0]
+    as_float = StudyConfig.from_obj(doc)
+    doc["observables"][1][1] = [1, 0, 0]
+    assert _hash(as_float) == _hash(StudyConfig.from_obj(doc))
+    assert as_float.observables[1].n == (1, 0, 0)
+
+
 def test_study_to_obj_round_trips():
     from kinwave.initial import PointSource
 

@@ -6,10 +6,11 @@ import scipy.fft
 import scipy.signal
 import scipy.stats
 
+from kinwave import kinetic
 from kinwave.chebyshev import cheb_coeffs
-from kinwave.dispersion import build_dispersion, couplings_nn
+from kinwave.dispersion import TWO_PI, build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
-from kinwave.harness import DEFAULT_STUDY
+from kinwave.harness import DEFAULT_OBSERVABLES, DEFAULT_STUDY
 from kinwave.initial import PointSource, WKBPacket
 from kinwave.kinetic import _linear_convolution
 from kinwave.kinetic import (
@@ -218,7 +219,7 @@ def test_sample_initial_mass_and_support():
     assert ens.n == 5000
     assert ens.weights.sum() == pytest.approx(PACKET.mass, rel=1e-12)
     # packet wavevectors concentrate near k0 (sigma = 0.5: spread ~ 1/(2 pi))
-    k = ens.k()
+    k = ens.grid.k_of(ens.k_idx)
     spread = np.abs((k - np.array([0.125, 0.0, 0.0]) + 0.5) % 1.0 - 0.5)
     assert np.quantile(spread.max(axis=1), 0.9) < 0.45
 
@@ -343,6 +344,109 @@ def test_dyson_characteristic_is_pinned():
         assert abs(est.mean - ref) <= 1e-12
     assert tail == pytest.approx(0.021320985717375316, rel=1e-12)
     assert not tail_ok
+
+
+# a duplicate, shared p, shared n, p = 0, n = 0, negative n and p = 0.5
+MIXED = [
+    ZERO,
+    Observable(p=(0.5, 0.0, 0.0), n=(0, 0, 0)),
+    Observable(p=(0.5, 0.0, 0.0), n=(1, 0, 0)),
+    Observable(p=(0.0, 0.0, 0.0), n=(1, 0, 0)),
+    Observable(p=(0.5, 0.0, 0.0), n=(1, 0, 0)),
+    Observable(p=(1.0, -0.5, 0.25), n=(-1, 2, 0)),
+    Observable(p=(0.0, 1.0, 0.0), n=(-1, 2, 0)),
+    Observable(p=(-0.5, 0.0, 2.0), n=(0, -1, -3)),
+]
+
+
+def _direct_characteristic(ens, observables):
+    """Reference: one complex exponential of the full phase per observable."""
+    k = ens.grid.k_of(ens.k_idx)
+    return [np.sum(ens.weights * np.exp(-1j * TWO_PI * (
+        ens.x @ np.asarray(o.p) - k @ np.asarray(o.n, dtype=np.float64))))
+        for o in observables]
+
+
+def _direct_dyson(initial, table, t_bar, observables, m_max, n_mc, rng):
+    """Reference: the collision expansion of orders 0..m_max with one complex
+    exponential of the full phase per observable and order, drawing from rng
+    in the same order as dyson_characteristic."""
+    ens = sample_initial(initial, n_mc, table, rng)
+    chain = [ens.k_idx]
+    for _ in range(m_max + 1):
+        chain.append(sample_jump(table, chain[-1], rng))
+    sig = [table.sigma_flat[idx] for idx in chain]
+    gvel = [table.grid.grad_flat[idx] for idx in chain]
+    totals = np.zeros((len(observables), n_mc), dtype=np.complex128)
+    prefac = np.ones(n_mc)
+    for m in range(m_max + 1):
+        if m == 0:
+            r = np.full((n_mc, 1), t_bar)
+        else:
+            prefac = prefac * sig[m - 1]
+            u = np.sort(rng.random((n_mc, m)), axis=1)
+            r = np.diff(np.concatenate(
+                [np.zeros((n_mc, 1)), u, np.ones((n_mc, 1))], axis=1), axis=1) * t_bar
+        decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
+        base = prefac * decay * (t_bar**m / math.factorial(m))
+        drift = sum(r[:, j, None] * gvel[j] for j in range(m + 1))
+        k = table.grid.k_of(chain[m])
+        for i, o in enumerate(observables):
+            p, n = np.asarray(o.p), np.asarray(o.n, dtype=np.float64)
+            phase = -(drift @ p) - TWO_PI * (ens.x @ p) + TWO_PI * (k @ n)
+            totals[i] += base * np.exp(1j * phase)
+    return [np.sum(ens.weights * z) for z in totals]
+
+
+def test_kinetic_estimators_match_the_direct_phase_sum():
+    """Both estimators factor the phase by distinct mode; they match the
+    per-observable exponential to 1e-13 of the mass, and each estimate is
+    bitwise the same whether requested alone or next to other observables."""
+    table = build_collision_table(GRID, beta=0.3, xi2=0.25)
+    rng = np.random.default_rng(9)
+    ens, _ = simulate(sample_initial(PACKET, 3000, table, rng), table, 0.5, rng)
+    tol = 1e-13 * PACKET.mass
+    ests = characteristic_function(ens, MIXED)
+    for est, ref in zip(ests, _direct_characteristic(ens, MIXED)):
+        assert abs(est.mean - ref) <= tol
+    assert ests[2] == ests[4]
+    for obs, est in zip(MIXED, ests):
+        assert characteristic_function(ens, [obs])[0] == est
+
+    args = (PACKET, table, 0.5)
+    kw = dict(m_max=4, n_mc=2000)
+    ests, tail, _ = dyson_characteristic(*args, MIXED, rng=np.random.default_rng(22), **kw)
+    ref = _direct_dyson(*args, MIXED, rng=np.random.default_rng(22), **kw)
+    for est, r in zip(ests, ref):
+        assert abs(est.mean - r) <= tol
+    assert ests[2] == ests[4]
+    for obs, est in zip(MIXED, ests):
+        alone, tail_alone, _ = dyson_characteristic(
+            *args, [obs], rng=np.random.default_rng(22), **kw)
+        assert alone[0] == est and tail_alone == tail
+
+
+def test_one_phase_pass_per_distinct_mode(monkeypatch):
+    """exp(i theta) over the particles is formed once per distinct nonzero p
+    (4 in DEFAULT_OBSERVABLES): once in characteristic_function, once per
+    order plus once for the positions in dyson_characteristic."""
+    calls = []
+    expi = kinetic._expi
+
+    def counting(theta):
+        calls.append(np.shape(theta))
+        return expi(theta)
+
+    monkeypatch.setattr(kinetic, "_expi", counting)
+    assert len({o.p for o in DEFAULT_OBSERVABLES if any(o.p)}) == 4
+    ens = sample_initial(PACKET, 2000, TABLE, np.random.default_rng(3))
+    characteristic_function(ens, DEFAULT_OBSERVABLES)
+    assert len(calls) == 4
+    calls.clear()
+    m_max = 8
+    dyson_characteristic(PACKET, TABLE, 0.5, DEFAULT_OBSERVABLES, m_max=m_max,
+                         n_mc=1000, rng=np.random.default_rng(4))
+    assert len(calls) <= 4 * (m_max + 1) + 4
 
 
 def test_dyson_validation():

@@ -82,6 +82,32 @@ def test_shift_bound():
         Observable(p=(0.0, 0.0), n=(0, 0, 0))
 
 
+@pytest.mark.parametrize("p, n", [
+    ((1.0, 0.0, 0.0), (0.7, 0, 0)),
+    ((0.0, 0.0, 0.0), (0, -1.5, 0)),
+    ((0.5, 0.0, 0.0), (float("nan"), 0, 0)),
+    ((float("nan"), 0.0, 0.0), (0.5, 0, 0)),
+    ((float("nan"), 0.0, 0.0), (0, 0, 0)),
+    ((0.0, float("inf"), 0.0), (1, 0, 0)),
+    ((0.0, 0.0, "1"), (1, 0, 0)),
+    ((0.0, 0.0, 0.0), (1, None, 0)),
+])
+def test_observable_refuses_modes_outside_the_mathematics(p, n):
+    """A shift must be integral and a wavenumber finite; neither is
+    reinterpreted, whether built directly or decoded from JSON."""
+    with pytest.raises(ConfigError):
+        Observable(p=p, n=n)
+    with pytest.raises(ConfigError):
+        Observable.from_obj([list(p), list(n)])
+
+
+def test_observable_stores_integral_shifts_as_int():
+    obs = Observable.from_obj([[1, 0, 0], [1.0, -2.0, np.int64(0)]])
+    assert obs == Observable(p=(1.0, 0.0, 0.0), n=(1, -2, 0))
+    assert [type(x) for x in obs.n] == [int, int, int]
+    assert [type(x) for x in obs.p] == [float, float, float]
+
+
 def run_config(**kw):
     base = dict(couplings=C, L=16, eps=0.25, t_bar=0.1,
                 distribution="rademacher", realizations=4, initial=PACKET,
