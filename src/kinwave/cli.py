@@ -356,14 +356,9 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
     rng = np.random.default_rng((doc["master_seed"], 505))
     ens = sample_initial(initial, doc["particles"], table, rng)
     ens, counts = simulate(ens, table, doc["t_bar"], rng)
-    estimates = characteristic_function(ens, observables)
-    io.write_estimates_csv(
-        out_dir / "boltzmann_estimates.csv", observables,
-        [e.mean for e in estimates],
-        [e.stderr_re for e in estimates],
-        [e.stderr_im for e in estimates],
-        doc["particles"],
-    )
+    est = characteristic_function(ens, observables)
+    io.write_estimates_csv(out_dir / "boltzmann_estimates.csv", observables,
+                           est.mean, est.stderr_re, est.stderr_im, doc["particles"])
     io.write_json(out_dir / "boltzmann.json", {
         "t_bar": doc["t_bar"],
         "particles": doc["particles"],
@@ -387,13 +382,7 @@ def _cmd_compare(doc: dict, out_dir: Path, dry: bool) -> None:
         "monotone": report.monotone,
         "final_err": report.final_err,
         "bound_ok": report.bound_ok,
-        "transport": {
-            "gaps_t": transport.gaps_t,
-            "monotone_t": transport.monotone_t,
-            "gap0": transport.gap0,
-            "gap0_adjacent_ratios": transport.gap0_adjacent_ratios,
-            "gap0_overall_ratio": transport.gap0_overall_ratio,
-        },
+        "transport": transport.to_obj(),
         **io.artifact_metadata(_hashable(doc), cfg.master_seed),
     })
 

@@ -34,6 +34,7 @@ summary with a pass/fail verdict per criterion.
 from __future__ import annotations
 
 import math
+import numbers
 import time as _time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -191,12 +192,17 @@ class StudyConfig:
         """Study from a JSON document in the to_obj form, such as a compare
         config.  Absent fields keep their defaults (couplings: those of
         DEFAULT_STUDY), keys that name no field are ignored, and numbers are
-        coerced to each field's type, so 1 and 1.0 give the same config hash."""
+        coerced to each field's type, so 1 and 1.0 give the same config hash.
+        An integer field refuses a non-integral number such as 64.5."""
         kwargs = {"couplings": DEFAULT_STUDY.couplings}
         for f in fields(cls):
             if f.name in doc:
-                decode = _FIELD_DECODERS.get(f.name, type(f.default))
-                kwargs[f.name] = decode(doc[f.name])
+                decode = _FIELD_DECODERS.get(
+                    f.name, _integral if type(f.default) is int else type(f.default))
+                try:
+                    kwargs[f.name] = decode(doc[f.name])
+                except ConfigError as exc:
+                    raise ConfigError(f"{f.name}: {exc}") from None
         return cls(**kwargs)
 
     def required_box(self, eps: float, max_group_speed: float) -> float:
@@ -234,11 +240,19 @@ class StudyConfig:
 
 DEFAULT_STUDY = StudyConfig(couplings=couplings_nn(1.0))
 
+
+def _integral(x) -> int:
+    """x as an int: an integral float such as 64.0 is taken, 64.5 is refused."""
+    if isinstance(x, numbers.Real) and float(x).is_integer():
+        return int(x)
+    raise ConfigError(f"{x!r} is not an integer")
+
+
 # from_obj decoders of the fields whose JSON form is not their default's type
 _FIELD_DECODERS = {
     "couplings": io.couplings_from_obj,
     "epsilons": lambda v: tuple(float(x) for x in v),
-    "box_sizes": lambda v: tuple(int(x) for x in v),
+    "box_sizes": lambda v: tuple(_integral(x) for x in v),
     "initial": initial_from_obj,
     "observables": lambda v: tuple(Observable.from_obj(o) for o in v),
 }
@@ -367,11 +381,11 @@ def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     rng = _rng(cfg.master_seed, _LANE_JUMP)
     ens0 = sample_initial(cfg.initial, cfg.particles, table, rng)
     ens_t, counts = simulate(ens0, table, cfg.t_bar, rng)
-    ests = characteristic_function(ens_t, cfg.observables)
+    est = characteristic_function(ens_t, cfg.observables)
     pairing_t = 2.0 * float(np.sum(ens_t.weights * gaussian_bump(ens_t.x)))
     return {
-        "means": _pairs(e.mean for e in ests),
-        "se": [float(np.hypot(e.stderr_re, e.stderr_im)) for e in ests],
+        "means": _pairs(est.mean.tolist()),
+        "se": np.hypot(est.stderr_re, est.stderr_im).tolist(),
         "mass": float(ens_t.weights.sum()),
         "pairing_t": pairing_t,
         "counts_mean": float(counts.mean()),
@@ -401,15 +415,16 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
     t0 = _time.perf_counter()
     run = _rung_config(cfg, rung_index, rung_index)
     result = disorder_average(run, list(cfg.observables))
-    means = [est.mean for est in result.estimates]
+    est = result.estimates
+    means = est.mean.tolist()
     gaps = [abs(m - r) for m, r in zip(means, ref_means)]
     return EpsilonRung(
         eps=run.eps,
         L=run.L,
         means=means,
-        se_re=[est.stderr_re for est in result.estimates],
-        se_im=[est.stderr_im for est in result.estimates],
-        count=result.estimates[0].count,
+        se_re=est.stderr_re.tolist(),
+        se_im=est.stderr_im.tolist(),
+        count=est.count,
         n_dropped=result.n_dropped,
         bound_ok=result.bound_ok,
         max_bound_excess=result.max_bound_excess,
@@ -469,11 +484,11 @@ def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
 
 @dataclass
 class FreeFlightReport:
-    k0: tuple[float, float, float]
-    target_velocity: tuple[float, float, float]
-    epsilons: tuple[float, ...]
-    sigmas: tuple[float, ...]
-    velocities: list[tuple[float, float, float]]
+    k0: list[float]
+    target_velocity: list[float]
+    epsilons: list[float]
+    sigmas: list[float]
+    velocities: list[list[float]]
     rel_errors: list[float]
     cross_eps_gap: float
     critical_speed: float | None
@@ -486,17 +501,15 @@ class FreeFlightReport:
             )
         return ok
 
-
-def _zero_disorder(L: int) -> DisorderField:
-    return DisorderField(
-        xi=np.zeros((L, L, L)), xi_bar=1.0, distribution="rademacher", seed=0
-    )
+    def to_obj(self) -> dict:
+        return asdict(self)
 
 
 def _centroid(state: LatticeState, eps: float, c: Couplings) -> np.ndarray:
     """Energy-density centroid in macroscopic coordinates: the positions eps y
-    weighted by the site energy density 2 |psi_y|^2 (the 2 cancels)."""
-    density = np.abs(to_wavefunction(state, _zero_disorder(state.L), eps, c)) ** 2
+    weighted by the clean-lattice site energy density 2 |psi_y|^2 (the 2
+    cancels)."""
+    density = np.abs(to_wavefunction(state, None, eps, c)) ** 2
     x = macro_grid(state.L, eps)
     return np.array([np.sum(x[..., i] * density) for i in range(3)]) / np.sum(density)
 
@@ -551,7 +564,7 @@ def free_flight_check(
     for eps, sigma in zip(epsilons, sigmas):
         packet = WKBPacket(k0=k0, sigma=sigma)
         v = _packet_velocity(c, packet, eps, L, t_macro, n_samples)
-        vels.append(tuple(float(x) for x in v))
+        vels.append([float(x) for x in v])
         rels.append(float(np.linalg.norm(v - target)) / speed)
     cross = max(
         float(np.linalg.norm(np.array(a) - np.array(b))) / speed
@@ -565,10 +578,10 @@ def free_flight_check(
                               t_macro, n_samples)
         critical_speed = float(np.linalg.norm(vc))
     return FreeFlightReport(
-        k0=k0,
-        target_velocity=tuple(float(x) for x in target),
-        epsilons=tuple(epsilons),
-        sigmas=tuple(sigmas),
+        k0=list(k0),
+        target_velocity=[float(x) for x in target],
+        epsilons=list(epsilons),
+        sigmas=list(sigmas),
         velocities=vels,
         rel_errors=rels,
         cross_eps_gap=cross,
@@ -617,7 +630,7 @@ def substitution_gap_exact(
 
 @dataclass
 class TransportReport:
-    epsilons: tuple[float, ...]
+    epsilons: list[float]
     micro_t: list[float]
     micro_t_se: list[float]
     ref_t: float
@@ -627,7 +640,7 @@ class TransportReport:
     gap0_reference: list[float]
     gap0_adjacent_ratios: list[float]
     gap0_overall_ratio: float
-    ratio_window: tuple[float, float]
+    ratio_window: list[float]
     overall_in_window: bool
     monotone_0: bool
 
@@ -640,6 +653,9 @@ class TransportReport:
             and self.monotone_0
             and self.gap0_overall_ratio >= self.ratio_window[0]
         )
+
+    def to_obj(self) -> dict:
+        return asdict(self)
 
 
 # transport rung seeds sit in their own block so the substitution ladder is
@@ -697,10 +713,10 @@ def energy_transport_check(
         gap0.append(g)
         ref0.append(b)
     adj = [a / b for a, b in zip(gap0, gap0[1:])]
-    window = (1.6, 2.4)
+    window = [1.6, 2.4]
     overall = gap0[0] / gap0[-1]
     return TransportReport(
-        epsilons=tuple(cfg.epsilons),
+        epsilons=list(cfg.epsilons),
         micro_t=micro_t,
         micro_t_se=micro_se,
         ref_t=ref_t,
@@ -742,6 +758,14 @@ class CrosscheckReport:
     def passed(self, z_max: float = 3.0) -> bool:
         return self.worst_z <= z_max
 
+    def to_obj(self) -> dict:
+        return {
+            **asdict(self),
+            "observables": [o.to_obj() for o in self.observables],
+            "jump_means": _pairs(self.jump_means),
+            "dyson_means": _pairs(self.dyson_means),
+        }
+
 
 def solver_crosscheck(cfg: StudyConfig = DEFAULT_STUDY) -> CrosscheckReport:
     """Jump-process and collision-expansion solvers on one shared kernel.
@@ -758,24 +782,26 @@ def solver_crosscheck(cfg: StudyConfig = DEFAULT_STUDY) -> CrosscheckReport:
     ens0 = sample_initial(cfg.initial, cfg.particles, table, rng)
     ens_t, counts = simulate(ens0, table, cfg.t_bar, rng)
     jump = characteristic_function(ens_t, cfg.observables)
-    dyson, tail, _ = dyson_characteristic(
+    dyson, tail = dyson_characteristic(
         cfg.initial, table, cfg.t_bar, cfg.observables,
         m_max=cfg.m_max, n_mc=cfg.dyson_samples,
         rng=_rng(cfg.master_seed, _LANE_DYSON),
     )
+    # Python numbers per observable, as the report's lists hold them
+    jump_means, dyson_means = jump.mean.tolist(), dyson.mean.tolist()
     combined = [
-        float(np.sqrt(j.stderr_re**2 + j.stderr_im**2
-                      + d.stderr_re**2 + d.stderr_im**2))
-        for j, d in zip(jump, dyson)
+        float(np.sqrt(jr**2 + ji**2 + dr**2 + di**2))
+        for jr, ji, dr, di in zip(jump.stderr_re.tolist(), jump.stderr_im.tolist(),
+                                  dyson.stderr_re.tolist(), dyson.stderr_im.tolist())
     ]
     z = [
-        max(0.0, abs(j.mean - d.mean) - tail) / se
-        for j, d, se in zip(jump, dyson, combined)
+        max(0.0, abs(j - d) - tail) / se
+        for j, d, se in zip(jump_means, dyson_means, combined)
     ]
     return CrosscheckReport(
         observables=cfg.observables,
-        jump_means=[e.mean for e in jump],
-        dyson_means=[e.mean for e in dyson],
+        jump_means=jump_means,
+        dyson_means=dyson_means,
         combined_se=combined,
         z_scores=z,
         worst_z=max(z),
@@ -857,7 +883,8 @@ def criterion_3() -> CriterionResult:
     packet = WKBPacket(k0=(0.125, 0.0, 0.0), sigma=0.5)
     psi0 = wkb_state(L, eps, packet.envelope, packet.phase)
     state0 = from_wavefunction(psi0, c)
-    zero = _zero_disorder(L)
+    zero = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
+                         distribution="rademacher", seed=0)
     T = 2.0
     exact = evolve_free_spectral(state0, c, T)
     scale = np.sqrt(float(np.sum(exact.q**2 + exact.v**2)))
@@ -1002,10 +1029,8 @@ def criterion_8() -> CriterionResult:
     """Two transport solvers agree within combined error."""
     rep = solver_crosscheck(DEFAULT_STUDY)
     return CriterionResult(8, "solver cross-validation", rep.passed(),
-                           {"worst_z": rep.worst_z, "z_max": 3.0,
-                            "xi2": DEFAULT_STUDY.crosscheck_xi2,
-                            "counts_mean": rep.counts_mean,
-                            "tail_bound": rep.tail_bound})
+                           {**rep.to_obj(), "z_max": 3.0,
+                            "xi2": DEFAULT_STUDY.crosscheck_xi2})
 
 
 def criterion_9() -> CriterionResult:
@@ -1092,10 +1117,7 @@ def criterion_11(report: FreeFlightReport | None = None) -> CriterionResult:
     if report is None:
         report = free_flight_check()
     return CriterionResult(11, "free-flight transport", report.passed(0.05),
-                           {"rel_errors": report.rel_errors,
-                            "cross_eps_gap": report.cross_eps_gap,
-                            "critical_speed": report.critical_speed,
-                            "tolerance": 0.05})
+                           {**report.to_obj(), "tolerance": 0.05})
 
 
 def criterion_12(report: ConvergenceReport) -> CriterionResult:
@@ -1120,13 +1142,7 @@ def criterion_13(transport: TransportReport) -> CriterionResult:
     raw ratios are reported either way.
     """
     return CriterionResult(13, "energy transport", transport.passed(),
-                           {"gaps_t": transport.gaps_t,
-                            "monotone_t": transport.monotone_t,
-                            "gap0": transport.gap0,
-                            "gap0_overall_ratio": transport.gap0_overall_ratio,
-                            "gap0_adjacent_ratios": transport.gap0_adjacent_ratios,
-                            "ratio_window": list(transport.ratio_window),
-                            "overall_in_window": transport.overall_in_window})
+                           transport.to_obj())
 
 
 # the criteria that take no input; 12 and 13 judge the reports of run_study

@@ -8,7 +8,7 @@ Each spec has one JSON form: to_obj writes it, initial_from_obj reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
-from .dispersion import Couplings, DispersionGrid, build_dispersion
+from .dispersion import Couplings, build_dispersion
 from .errors import ConfigError
 from .kinetic import CollisionTable
 from .lattice import LatticeState

@@ -31,12 +31,12 @@ from .chebyshev import cheb_coeffs, cheb_nodes
 from .dispersion import TWO_PI, DispersionGrid
 from .errors import ConfigError, SamplingError
 from .initial import PointSource, WKBPacket
+from .wigner import Estimates
 
 __all__ = [
     "CollisionTable",
     "ShellEnvelope",
     "ParticleEnsemble",
-    "TransportEstimate",
     "default_beta",
     "build_collision_table",
     "pair_rate",
@@ -331,15 +331,6 @@ def simulate(
     return ParticleEnsemble(x=x, k_idx=k, weights=ens.weights.copy(), grid=ens.grid), counts
 
 
-@dataclass(frozen=True)
-class TransportEstimate:
-    observable: object
-    mean: complex
-    stderr_re: float
-    stderr_im: float
-    n: int
-
-
 def _jackknife(weights: np.ndarray, z: np.ndarray) -> tuple[complex, float, float]:
     """Leave-one-out error of the reweighted sum F = (sum w z) * W/(W - w_i)."""
     n = z.size
@@ -351,6 +342,17 @@ def _jackknife(weights: np.ndarray, z: np.ndarray) -> tuple[complex, float, floa
     var_re = fac * np.sum((loo.real - center.real) ** 2)
     var_im = fac * np.sum((loo.imag - center.imag) ** 2)
     return complex(total), float(np.sqrt(var_re)), float(np.sqrt(var_im))
+
+
+def _estimates(weights: np.ndarray, columns) -> Estimates:
+    """One jackknife per observable, over its per-particle phase column."""
+    stats = [_jackknife(weights, z) for z in columns]
+    return Estimates(
+        mean=np.array([s[0] for s in stats], dtype=np.complex128),
+        stderr_re=np.array([s[1] for s in stats]),
+        stderr_im=np.array([s[2] for s in stats]),
+        count=weights.size,
+    )
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -392,9 +394,7 @@ def _shift_tables(grid: DispersionGrid, observables) -> dict:
     return tables
 
 
-def characteristic_function(
-    ens: ParticleEnsemble, observables
-) -> list[TransportEstimate]:
+def characteristic_function(ens: ParticleEnsemble, observables) -> Estimates:
     """sum_j w_j exp(-i 2 pi (p.x_j - n.k_j)) with jackknife standard errors.
 
     The phase factors by mode: exp(-i 2 pi p.x) costs one cos/sin pass per
@@ -404,20 +404,14 @@ def characteristic_function(
     """
     position = _position_phases(ens.x, observables)
     shift = {n: tab[ens.k_idx] for n, tab in _shift_tables(ens.grid, observables).items()}
-    out = []
-    for obs in observables:
+
+    def column(obs) -> np.ndarray:
         xp, kn = position.get(obs.p), shift.get(obs.n)
         if xp is None and kn is None:
-            z = np.ones(ens.n, dtype=np.complex128)
-        else:
-            z = kn if xp is None else xp if kn is None else xp * kn
-        mean, se_re, se_im = _jackknife(ens.weights, z)
-        out.append(
-            TransportEstimate(
-                observable=obs, mean=mean, stderr_re=se_re, stderr_im=se_im, n=ens.n
-            )
-        )
-    return out
+            return np.ones(ens.n, dtype=np.complex128)
+        return kn if xp is None else xp if kn is None else xp * kn
+
+    return _estimates(ens.weights, (column(obs) for obs in observables))
 
 
 def gate_function(
@@ -514,8 +508,7 @@ def dyson_characteristic(
     m_max: int = 8,
     n_mc: int = 10_000,
     rng: np.random.Generator | None = None,
-    tail_tol: float = 1e-3,
-) -> tuple[list[TransportEstimate], float, bool]:
+) -> tuple[Estimates, float]:
     """Collision-expansion estimate of the transport characteristic function.
 
     The m-th term runs the same jump chain as the simulator (each normalized
@@ -534,10 +527,9 @@ def dyson_characteristic(
     has modulus one: the leading missing term (order m_max + 1) is estimated
     with the same chain, and the orders beyond it are capped by the geometric
     ratio sigma_max t / (m + 1).  When that ratio is not contractive the crude
-    (sigma_max t)^m / m! sum is reported instead.  The last return flags
-    whether the bound stays below tail_tol relative to the mass.
+    (sigma_max t)^m / m! sum is reported instead.
 
-    Returns (estimates, tail_bound, tail_ok).
+    Returns (estimates, tail_bound).
     """
     if m_max < 0 or m_max > 64:
         raise ConfigError("m_max out of range")
@@ -593,19 +585,9 @@ def dyson_characteristic(
         if obs.p in position:
             row *= position[obs.p]
 
-    estimates = []
-    for i, obs in enumerate(observables):
-        mean, se_re, se_im = _jackknife(ens.weights, totals[i])
-        estimates.append(
-            TransportEstimate(
-                observable=obs, mean=mean, stderr_re=se_re, stderr_im=se_im, n=n_mc
-            )
-        )
-
     ratio = table.sigma_max * t_bar / (q + 1)
     if ratio < 1.0:
         tail = lead / (1.0 - ratio)
     else:                               # not contractive yet: crude factorial sum
         tail = initial.mass * truncation_tail(table.sigma_max * t_bar, m_max)
-    tail_ok = tail <= tail_tol * initial.mass
-    return estimates, tail, tail_ok
+    return _estimates(ens.weights, totals), tail

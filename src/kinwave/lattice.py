@@ -447,13 +447,17 @@ def propagate(
 
 
 def to_wavefunction(
-    state: LatticeState, disorder: DisorderField, eps: float, c: Couplings
+    state: LatticeState, disorder: DisorderField | None, eps: float, c: Couplings
 ) -> np.ndarray:
-    """psi_+ = (Omega q + i (1 + sqrt(eps) xi)^-1 v) / 2.  The minus component
-    of a physical state is the complex conjugate and is never stored."""
-    check_mass_positivity(disorder.distribution, eps)
+    """psi_+ = (Omega q + i (1 + sqrt(eps) xi)^-1 v) / 2; with disorder None,
+    the clean-lattice map (Omega q + i v) / 2, and eps is not read.  The minus
+    component of a physical state is the complex conjugate and is never
+    stored."""
     mul = _multipliers(c, state.L)
     om_q = np.fft.irfftn(mul["omega_r"] * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
+    if disorder is None:
+        return 0.5 * (om_q + 1j * state.v)
+    check_mass_positivity(disorder.distribution, eps)
     return 0.5 * (om_q + 1j * state.v / (1.0 + np.sqrt(eps) * disorder.xi))
 
 
@@ -486,13 +490,9 @@ def wavefunction_norm_squared(psi_plus: np.ndarray) -> float:
 
 def evolve_free_spectral(state: LatticeState, c: Couplings, t: float) -> LatticeState:
     """Exact clean-lattice (xi = 0) evolution: psi_hat(k, t) = exp(-i omega t) psi_hat(k, 0)."""
-    mul = _multipliers(c, state.L)
-    om_q = np.fft.irfftn(mul["omega_r"] * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
-    psi = 0.5 * (om_q + 1j * state.v)
-    psi_t = np.fft.ifftn(np.exp(-1j * t * mul["omega"]) * np.fft.fftn(psi))
-    re2 = 2.0 * psi_t.real
-    q = np.fft.irfftn(np.fft.rfftn(re2) / mul["omega_r"], psi.shape, axes=(0, 1, 2))
-    return LatticeState(q=q, v=2.0 * psi_t.imag)
+    psi = to_wavefunction(state, None, 0.0, c)
+    omega = _multipliers(c, state.L)["omega"]
+    return from_wavefunction(np.fft.ifftn(np.exp(-1j * t * omega) * np.fft.fftn(psi)), c)
 
 
 def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:

@@ -24,7 +24,7 @@ import numbers
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .lattice import (
 __all__ = [
     "Observable",
     "RunConfig",
-    "WignerEstimate",
+    "Estimates",
     "WignerResult",
     "f_transform",
     "f_row",
@@ -181,17 +181,19 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class WignerEstimate:
-    observable: Observable
-    mean: complex
-    stderr_re: float
-    stderr_im: float
-    count: int
+class Estimates:
+    """Estimates of F(p, n), one entry per observable in the caller's order:
+    the record that the lattice average and both transport solvers return."""
+
+    mean: np.ndarray         # (n_obs,) complex
+    stderr_re: np.ndarray    # (n_obs,) standard error of the real part
+    stderr_im: np.ndarray    # (n_obs,) standard error of the imaginary part
+    count: int               # realizations or particles behind each mean
 
 
 @dataclass(frozen=True)
 class WignerResult:
-    estimates: list[WignerEstimate]
+    estimates: Estimates
     n_dropped: int
     bound_ok: bool                 # |F(p,n)| <= F(0,0) held on every kept realization
     max_bound_excess: float        # worst relative excess observed (<= fp noise when ok;
@@ -302,27 +304,19 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
 
     data = np.array(rows)                      # (R, n_obs)
     norm_arr = np.array(norms)
-    mean = data.mean(axis=0)
-    se_re = data.real.std(axis=0, ddof=1) / np.sqrt(len(rows))
-    se_im = data.imag.std(axis=0, ddof=1) / np.sqrt(len(rows))
 
     # |F(p,n)| <= F(0,0) must hold realization by realization
     excess = (np.abs(data) - norm_arr[:, None]) / norm_arr[:, None]
     max_excess = float(excess.max(initial=-np.inf))
     bound_ok = max_excess <= 1e-12
 
-    estimates = [
-        WignerEstimate(
-            observable=obs,
-            mean=complex(mean[i]),
-            stderr_re=float(se_re[i]),
-            stderr_im=float(se_im[i]),
-            count=len(rows),
-        )
-        for i, obs in enumerate(observables)
-    ]
     return WignerResult(
-        estimates=estimates,
+        estimates=Estimates(
+            mean=data.mean(axis=0),
+            stderr_re=data.real.std(axis=0, ddof=1) / np.sqrt(len(rows)),
+            stderr_im=data.imag.std(axis=0, ddof=1) / np.sqrt(len(rows)),
+            count=len(rows),
+        ),
         n_dropped=n_dropped,
         bound_ok=bound_ok,
         max_bound_excess=max_excess,

@@ -228,6 +228,21 @@ def test_warm_compare_rewrites_the_report_byte_identical(tmp_path):
     assert (out / "report.json").read_bytes() == cold
 
 
+def test_compare_summary_carries_the_transport_report(tmp_path):
+    """summary.json's transport block is the study's TransportReport.to_obj(),
+    and criterion 13 reports the same values."""
+    from kinwave import harness
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    _, transport = harness.run_study(harness.StudyConfig.from_obj(SMALL_COMPARE),
+                                     out_dir=out)
+    summary = io.read_json(out / "summary.json")
+    assert summary["transport"] == transport.to_obj()
+    assert harness.criterion_13(transport).detail == summary["transport"]
+
+
 def test_compare_refuses_a_shift_longer_than_half_a_box(tmp_path, capsys):
     """An observable shift that one rung's box cannot resolve is a config
     error at validation: --validate-only exits 1, and a full run writes no

@@ -235,6 +235,16 @@ def test_study_from_obj_refuses_a_fractional_shift():
     assert as_float.observables[1].n == (1, 0, 0)
 
 
+def test_study_from_obj_refuses_non_integral_integers():
+    """Integer fields refuse a fractional number instead of truncating it."""
+    cases = [("master_seed", {"master_seed": 7.9}),
+             ("box_sizes", {"master_seed": 7, "box_sizes": [64.5] * 3}),
+             ("realizations", {"master_seed": 7, "realizations": 4.7})]
+    for name, doc in cases:
+        with pytest.raises(ConfigError, match=f"{name}: .* is not an integer"):
+            StudyConfig.from_obj(doc)
+
+
 def test_study_to_obj_round_trips():
     from kinwave.initial import PointSource
 

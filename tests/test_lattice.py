@@ -69,6 +69,19 @@ def test_wave_map_substitution_drops_mass_correction():
     np.testing.assert_allclose(state.v, 2.0 * psi.imag, atol=1e-15)
 
 
+def test_clean_wave_map_roundtrip():
+    """With disorder None both directions use the clean-lattice map, so they
+    invert each other, and the forward map is the disordered one at xi = 0."""
+    L = 8
+    psi = random_psi(L, 5)
+    state = from_wavefunction(psi, C)
+    np.testing.assert_allclose(to_wavefunction(state, None, 0.0, C), psi, atol=1e-15)
+    zero = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
+                         distribution="rademacher", seed=0)
+    np.testing.assert_array_equal(np.abs(to_wavefunction(state, None, 0.25, C)),
+                                  np.abs(to_wavefunction(state, zero, 0.25, C)))
+
+
 def test_energy_equals_norm_squared():
     L, eps = 12, 0.2
     psi = random_psi(L, 19)

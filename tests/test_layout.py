@@ -111,3 +111,16 @@ def test_every_subcommand_reads_each_key_it_accepts():
         ignored += [f"{sub}.{key}" for key in schema["properties"]
                     if key != "output_dir" and key not in read]
     assert ignored == []
+
+
+def test_one_estimate_record():
+    """The lattice average and both transport solvers share one estimate
+    record: exactly one class in the package declares a stderr_* field (a
+    standard error split into real and imaginary parts)."""
+    declaring = sorted(
+        f"{name}.{node.name}" for name, tree in _modules().items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and stmt.target.id.startswith("stderr_") for stmt in node.body)
+    )
+    assert declaring == ["wigner.Estimates"]
