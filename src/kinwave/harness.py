@@ -14,10 +14,11 @@ limiting transport description on a shrinking-epsilon ladder:
 
 run_study runs the two ladder experiments of one StudyConfig in order, the
 transport ladder on the convergence study's Boltzmann reference; it is the
-one way the package runs them.  Every realization of either ladder is
-propagated exactly to t_bar/eps (lattice.propagate, no time step); each one
-of a convergence rung is measured for F(p, n) and the wave norm, each one of
-a transport rung, started from the substitution data, for the energy pairing.
+one way the package runs them.  Both ladders share one set of disorder
+draws: each realization of a rung propagates, in one stacked recurrence and
+exactly to t_bar/eps (no time step), the rescaled state, measured for
+F(p, n) and the wave norm, and the state started from the substitution
+data, measured for the energy pairing.
 
 The convergence experiment tests a limit with no attached rate, so acceptance
 is monotone decrease along the ladder plus a final-rung ceiling.  Each stage
@@ -184,6 +185,7 @@ class StudyConfig:
             observables=[o.to_obj() for o in self.observables],
             pairing="exp(-|x|^2/2)",
             propagator="chebyshev",
+            transport_draws="study",
         )
         return obj
 
@@ -287,6 +289,9 @@ class EpsilonRung:
     bound_ok: bool
     max_bound_excess: float
     norm_mean: float
+    # energy pairing of the substitution-data state, mean and standard error
+    pairing_t_mean: float
+    pairing_t_se: float
     gaps: list[float]
     err: float
     elapsed: float
@@ -385,18 +390,20 @@ def _boltzmann_reference(cfg: StudyConfig, table) -> dict:
     pairing_t = 2.0 * float(np.sum(ens_t.weights * gaussian_bump(ens_t.x)))
     return {
         "means": _pairs(est.mean.tolist()),
-        "se": np.hypot(est.stderr_re, est.stderr_im).tolist(),
+        "se_re": est.stderr_re.tolist(),
+        "se_im": est.stderr_im.tolist(),
         "mass": float(ens_t.weights.sum()),
         "pairing_t": pairing_t,
         "counts_mean": float(counts.mean()),
     }
 
 
-def _rung_config(cfg: StudyConfig, rung_index: int, seed_index: int,
-                 **kw) -> RunConfig:
-    """Lattice run of one rung of the ladder, on realization stream seed_index;
-    kw sets the RunConfig fields that differ between the two ladders."""
-    return RunConfig(
+def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
+              ref_mass: float) -> EpsilonRung:
+    """One rung of both ladders: F and the norm of the rescaled states, and
+    the energy pairing of the substitution-data states, on the same draws."""
+    t0 = _time.perf_counter()
+    run = RunConfig(
         couplings=cfg.couplings,
         L=cfg.box_sizes[rung_index],
         eps=cfg.epsilons[rung_index],
@@ -404,18 +411,13 @@ def _rung_config(cfg: StudyConfig, rung_index: int, seed_index: int,
         distribution=cfg.distribution,
         realizations=cfg.realizations,
         initial=cfg.initial,
-        seed=_eps_seed(cfg.master_seed, seed_index),
+        seed=_eps_seed(cfg.master_seed, rung_index),
         workers=cfg.workers,
-        **kw,
+        pairing=gaussian_bump,
     )
-
-
-def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
-              ref_mass: float) -> EpsilonRung:
-    t0 = _time.perf_counter()
-    run = _rung_config(cfg, rung_index, rung_index)
     result = disorder_average(run, list(cfg.observables))
     est = result.estimates
+    pair_t = result.pairing_t
     means = est.mean.tolist()
     gaps = [abs(m - r) for m, r in zip(means, ref_means)]
     return EpsilonRung(
@@ -429,6 +431,8 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
         bound_ok=result.bound_ok,
         max_bound_excess=result.max_bound_excess,
         norm_mean=result.norm_mean,
+        pairing_t_mean=float(pair_t.mean()),
+        pairing_t_se=float(pair_t.std(ddof=1) / np.sqrt(pair_t.size)),
         gaps=gaps,
         err=max(gaps) / ref_mass,
         elapsed=_time.perf_counter() - t0,
@@ -470,7 +474,7 @@ def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
     if base is not None:
         io.write_json(base / "report.json", {**report.to_obj(), **meta})
         io.write_estimates_csv(base / "reference.csv", cfg.observables, ref_means,
-                               ref["se"], ref["se"], cfg.particles)
+                               ref["se_re"], ref["se_im"], cfg.particles)
         for rung in rungs:
             io.write_estimates_csv(base / f"estimates_eps_{rung.eps}.csv",
                                    cfg.observables, rung.means, rung.se_re,
@@ -658,52 +662,32 @@ class TransportReport:
         return asdict(self)
 
 
-# transport rung seeds sit in their own block so the substitution ladder is
-# independent of the study realizations
-_TRANSPORT_SEED_OFFSET = 50
-
-
-def _transport_rung(cfg: StudyConfig, rung_index: int) -> dict:
-    """One substitution-data rung: mean energy pairing at t_bar, with no F
-    observable measured."""
-    run = _rung_config(cfg, rung_index, _TRANSPORT_SEED_OFFSET + rung_index,
-                       convention="direct", pairing=gaussian_bump)
-    result = disorder_average(run, [])
-    pair_t = np.asarray(result.pairing_t, dtype=np.float64)
-    return {
-        "eps": run.eps,
-        "L": run.L,
-        "pairing_t_mean": float(pair_t.mean()),
-        "pairing_t_se": float(pair_t.std(ddof=1) / np.sqrt(pair_t.size)),
-        "count": int(pair_t.size),
-    }
-
-
 def energy_transport_check(
     cfg: StudyConfig,
     report: ConvergenceReport,
     out_dir: str | Path | None = None,
-    resume: bool = True,
 ) -> TransportReport:
     """Energy-density pairing versus the transport position marginal of the
     study report's Boltzmann reference.
 
-    The ladder reruns each epsilon with the substitution ("direct") initial
-    data: the microscopic side starts from the disorder-free (q0, v0), which
-    is the conversion whose initial error the square-root bound controls.
+    The microscopic side is the pairing that each rung of the report
+    measured on the substitution ("direct") initial data: each realization
+    starts from the disorder-free (q0, v0), which is the conversion whose
+    initial error the square-root bound controls, in the disorder draw of
+    the rung's convergence realization.  With out_dir set, each rung's
+    pairing estimate is also written to transport_<i>_<hash12>.json.
     """
-    meta = io.artifact_metadata(cfg.to_obj(), cfg.master_seed)
-    base = None
     if out_dir is not None:
+        meta = io.artifact_metadata(cfg.to_obj(), cfg.master_seed)
         base = Path(out_dir)
         base.mkdir(parents=True, exist_ok=True)
-    rows = [
-        _stage(base, f"transport_{i}", meta, resume, lambda i=i: _transport_rung(cfg, i))
-        for i in range(len(cfg.epsilons))
-    ]
+        for i, r in enumerate(report.rungs):
+            io.write_json(base / f"transport_{i}_{meta['config_hash'][:12]}.json", {
+                "eps": r.eps, "L": r.L, "pairing_t_mean": r.pairing_t_mean,
+                "pairing_t_se": r.pairing_t_se, "count": r.count, **meta})
     ref_t = report.reference["pairing_t"]
-    micro_t = [r["pairing_t_mean"] for r in rows]
-    micro_se = [r["pairing_t_se"] for r in rows]
+    micro_t = [r.pairing_t_mean for r in report.rungs]
+    micro_se = [r.pairing_t_se for r in report.rungs]
     gaps_t = [abs(m - ref_t) for m in micro_t]
     gap0 = []
     ref0 = []
@@ -734,10 +718,11 @@ def energy_transport_check(
 
 def run_study(cfg: StudyConfig, out_dir: str | Path | None = None,
               resume: bool = True) -> tuple[ConvergenceReport, TransportReport]:
-    """The convergence ladder, then the transport ladder on its reference;
-    with out_dir set, both persist and resume per stage there."""
+    """The convergence ladder, whose rungs also measure the energy pairings
+    of the substitution data, then the transport report on its reference;
+    with out_dir set, the rungs persist and resume per stage there."""
     report = run_convergence(cfg, out_dir=out_dir, resume=resume)
-    return report, energy_transport_check(cfg, report, out_dir=out_dir, resume=resume)
+    return report, energy_transport_check(cfg, report, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,12 +1010,11 @@ def criterion_7() -> CriterionResult:
                             "shift_bound": bound})
 
 
-def criterion_8() -> CriterionResult:
-    """Two transport solvers agree within combined error."""
-    rep = solver_crosscheck(DEFAULT_STUDY)
+def criterion_8(cfg: StudyConfig = DEFAULT_STUDY) -> CriterionResult:
+    """Two transport solvers agree within combined error on the study cfg."""
+    rep = solver_crosscheck(cfg)
     return CriterionResult(8, "solver cross-validation", rep.passed(),
-                           {**rep.to_obj(), "z_max": 3.0,
-                            "xi2": DEFAULT_STUDY.crosscheck_xi2})
+                           {**rep.to_obj(), "z_max": 3.0, "xi2": cfg.crosscheck_xi2})
 
 
 def criterion_9() -> CriterionResult:
@@ -1145,7 +1129,8 @@ def criterion_13(transport: TransportReport) -> CriterionResult:
                            transport.to_obj())
 
 
-# the criteria that take no input; 12 and 13 judge the reports of run_study
+# the criteria that run with no input (8 takes an optional study config,
+# DEFAULT_STUDY by default); 12 and 13 judge the reports of run_study
 CRITERION_RUNNERS = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
@@ -1155,9 +1140,11 @@ CRITERION_RUNNERS = {
 
 def run_acceptance(out_dir: str | Path | None = None,
                    cfg: StudyConfig = DEFAULT_STUDY) -> dict:
-    """Run all thirteen criteria and write summary.json when out_dir is set."""
+    """Run all thirteen criteria and write summary.json when out_dir is set.
+    Criteria 8, 12 and 13 run on cfg; the others have frozen parameters."""
     study_dir = Path(out_dir) / "study" if out_dir is not None else None
-    results = [CRITERION_RUNNERS[cid]() for cid in range(1, 12)]
+    results = [CRITERION_RUNNERS[cid](cfg) if cid == 8 else CRITERION_RUNNERS[cid]()
+               for cid in range(1, 12)]
     report, transport = run_study(cfg, out_dir=study_dir)
     results += [criterion_12(report), criterion_13(transport)]
 

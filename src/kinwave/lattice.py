@@ -11,10 +11,11 @@ that is q'' = -K q with K = (1 + sqrt(eps) xi)^2 alpha, linear and constant
 in time.  Two integrators solve it.  propagate sums cos(t sqrt K) and
 sin(t sqrt K) / sqrt K as Chebyshev series in K, exact to rounding: the
 study ladders reach t_bar/eps with it in about t sqrt(Lambda) / 2 + 10 terms
-(Lambda bounds the spectrum of K).  evolve is velocity Verlet, the
-integrator under test in the acceptance criteria 1-3 and the one behind
-`kinwave simulate`.  Both apply alpha * q in real space, as a periodic
-stencil over the finite-range coupling offsets: each offset is one
+(Lambda bounds the spectrum of K), running one recurrence for several
+velocity fields that share the displacement field.  evolve is velocity
+Verlet, the integrator under test in the acceptance criteria 1-3 and the
+one behind `kinwave simulate`.  Both apply alpha * q in real space, as a
+periodic stencil over the finite-range coupling offsets: each offset is one
 contiguous shift of the flattened box, corrected exactly on the thin faces
 where that shift wraps across a row or a plane.  A Verlet step is one
 stencil plus three in-place passes; its cost grows with the number of
@@ -370,80 +371,101 @@ def _with_diagonal(plan: tuple, diagonal: np.ndarray) -> tuple:
 # no faster at L = 64 and hold more memory)
 _BLOCK = 2
 
+# sites per piece of that product: each piece's result is added into the sums
+# at once, so no term-sized product buffer is ever held
+_MIX_CHUNK = 2**15
+
 
 def propagate(
-    state: LatticeState,
+    q0: np.ndarray,
+    velocities: list[np.ndarray],
     disorder: DisorderField,
     eps: float,
     c: Couplings,
     t: float,
-) -> LatticeState:
-    """Exact evolution to time t of q'' = -K q, K = (1 + sqrt(eps) xi)^2 alpha:
+) -> list[LatticeState]:
+    """Exact evolution to time t of q'' = -K q, K = (1 + sqrt(eps) xi)^2 alpha,
+    from the states (q0, v0) for each v0 in velocities, all in one disorder
+    field:
 
         q(t) = cos(t sqrt K) q0 + S v0,   v(t) = cos(t sqrt K) v0 - K S q0,
 
-    with S = sin(t sqrt K) / sqrt K.  Both matrix functions are summed to
-    rounding as Chebyshev series in A = (2 / Lambda) K - I, whose spectrum
-    lies in [-1, 1] (Lambda from spectral_bound): the three-term recurrence
-    T_{k+1} = 2 A T_k - T_{k-1} runs on q0 and on v0 side by side, and K S q0
-    takes one stencil more.  A term costs one stencil per chain, with the -2 I
-    of 2 A folded into its diagonal, one scaling pass and one subtraction; no
-    Fourier transform of the field enters.  A symbol that is not positive on
-    the box grid (K not positive definite) is refused; non-finite field
-    values abort.
+    with S = sin(t sqrt K) / sqrt K.  Returns one final state per velocity,
+    in order; for t > 0 their fields are views of one buffer.  Both matrix
+    functions are summed to rounding as Chebyshev series in
+    A = (2 / Lambda) K - I, whose spectrum lies in [-1, 1] (Lambda from
+    spectral_bound): the three-term recurrence T_{k+1} = 2 A T_k - T_{k-1}
+    runs on the stack of chains (q0, v0, v0', ...) side by side, so the terms
+    of cos(t sqrt K) q0 and of S q0 are formed once for every velocity, and
+    K S q0 takes one stencil more.  A term costs one stencil per chain, with
+    the -2 I of 2 A folded into its diagonal, one scaling pass and one
+    subtraction; no Fourier transform of the field enters.  A symbol that is
+    not positive on the box grid (K not positive definite) is refused;
+    non-finite field values abort.
     """
     check_mass_positivity(disorder.distribution, eps)
-    _multipliers(c, state.L)
+    _multipliers(c, q0.shape[0])
     if t < 0.0:
         raise ConfigError("t must be nonnegative")
     if t == 0.0:
-        return LatticeState(q=state.q.copy(), v=state.v.copy())
+        return [LatticeState(q=q0.copy(), v=v0.copy()) for v0 in velocities]
     lam = spectral_bound(c, disorder, eps)
     cos_c, sinc_c = _propagator_series(t, lam)
-    plan = _stencil(c, state.L)
+    plan = _stencil(c, q0.shape[0])
     msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
     w = (4.0 / lam) * msq
     shifted = _with_diagonal(plan, -2.0 / w)   # 2 A = w (alpha - 2 / w)
     acc = np.empty(msq.shape)
+    work = np.empty(msq.shape)
 
-    def two_a(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = 2 A x on both chains."""
-        for chain in range(2):
-            _convolve(x[chain], shifted, out[chain], acc)
-        out *= w
-        return out
-
-    # the Chebyshev terms T_j on (q0, v0) in a ring of _BLOCK buffers; the
-    # three sums cos q0 + S v0, cos v0 and S q0 take each full block, or the
-    # last one, with the coefficients of its terms (zero past the last term)
+    # the Chebyshev terms T_j on the chains (q0, v0, v0', ...) in a ring of
+    # _BLOCK buffers; the sums cos q0 + S v0 for each v0, cos v0 for each v0,
+    # and S q0 take each full block, or the last one, with the coefficients
+    # of its terms (zero past the last term)
+    m = len(velocities)
+    chains = 1 + m
     n_terms = cos_c.size
     blocks = -(-n_terms // _BLOCK)
-    mix = np.zeros((blocks * _BLOCK, 3, 2))
-    mix[:n_terms, 0, 0] = mix[:n_terms, 1, 1] = cos_c
-    mix[:n_terms, 0, 1] = mix[:n_terms, 2, 0] = sinc_c
-    mix = mix.reshape(blocks, _BLOCK, 3, 2).transpose(0, 2, 1, 3).reshape(blocks, 3, -1)
-    ring = np.zeros((_BLOCK, 2, *msq.shape))
-    ring[0, 0], ring[0, 1] = state.q, state.v
-    flat = ring.reshape(2 * _BLOCK, -1)
-    work = np.empty(ring.shape[1:])
-    sums = np.zeros((3, msq.size))
-    term = np.empty(sums.shape)
+    mix = np.zeros((blocks * _BLOCK, 2 * m + 1, chains))
+    mix[:n_terms, :m, 0] = cos_c[:, None]
+    mix[:n_terms, 2 * m, 0] = sinc_c
+    for i in range(m):
+        mix[:n_terms, i, 1 + i] = sinc_c
+        mix[:n_terms, m + i, 1 + i] = cos_c
+    mix = mix.reshape(blocks, _BLOCK, 2 * m + 1, chains).transpose(0, 2, 1, 3)
+    mix = mix.reshape(blocks, 2 * m + 1, -1)
+    ring = np.zeros((_BLOCK, chains, *msq.shape))
+    ring[0, 0] = q0
+    for i, v0 in enumerate(velocities):
+        ring[0, 1 + i] = v0
+    flat = ring.reshape(_BLOCK * chains, -1)
+    sums = np.zeros((2 * m + 1, msq.size))
     for j in range(n_terms):
-        if j == 1:
-            two_a(ring[0], ring[1])
-            ring[1] *= 0.5
-        elif j > 1:
-            two_a(ring[(j - 1) % _BLOCK], work)
-            np.subtract(work, ring[(j - 2) % _BLOCK], out=ring[j % _BLOCK])
+        if j > 0:
+            # T_j = 2 A T_{j-1} - T_{j-2} and T_1 = A T_0, one chain at a time
+            # through one work buffer
+            for chain in range(chains):
+                _convolve(ring[(j - 1) % _BLOCK, chain], shifted, work, acc)
+                work *= w
+                out = ring[j % _BLOCK, chain]
+                if j == 1:
+                    np.multiply(work, 0.5, out=out)
+                else:
+                    np.subtract(work, ring[(j - 2) % _BLOCK, chain], out=out)
         if j % _BLOCK == _BLOCK - 1 or j == n_terms - 1:
-            sums += np.matmul(mix[j // _BLOCK], flat, out=term)
-    q = sums[0].reshape(msq.shape)
-    ks = _convolve(sums[2].reshape(msq.shape), plan, work[0], acc)
+            block = mix[j // _BLOCK]
+            for lo in range(0, msq.size, _MIX_CHUNK):
+                piece = slice(lo, lo + _MIX_CHUNK)
+                sums[:, piece] += block @ flat[:, piece]
+    ks = _convolve(sums[2 * m].reshape(msq.shape), plan, work, acc)
     ks *= msq
-    v = np.subtract(sums[1].reshape(msq.shape), ks)
-    if not (np.isfinite(np.sum(v)) and np.isfinite(np.sum(q))):
+    states = []
+    for i in range(m):
+        v = np.subtract(sums[m + i], ks.reshape(-1), out=sums[m + i]).reshape(msq.shape)
+        states.append(LatticeState(q=sums[i].reshape(msq.shape), v=v))
+    if not np.isfinite(np.sum(sums[: 2 * m])):
         raise StabilityError("field blew up during propagation")
-    return LatticeState(q=q, v=v)
+    return states
 
 
 def to_wavefunction(

@@ -10,10 +10,14 @@ sum |psi|^2 and dominates every other value in modulus; F is Hermitian under
 (p, n) -> (-p, -n).  Disorder averages of F at the kinetically scaled time
 t_bar/eps are what converge to the transport prediction as eps -> 0.
 
-Each realization propagates its state exactly to t_bar/eps
-(lattice.propagate), maps it to psi once and measures everything from that
-field: the row of F values (one shift product per distinct n), the norm
-sum |psi|^2 and, when the run has a test function f, the energy pairing
+Each realization draws one disorder field and propagates, exactly to
+t_bar/eps and in one stacked recurrence (lattice.propagate), the
+states it measures.  Both start from the same disorder-free displacement
+q0: the rescaled state inverts the disordered wave map exactly, the direct
+state keeps the substitution data (q0, v0).  Each state is mapped to psi
+once.  The run's convention picks the state that gives the row of F values
+(one shift product per distinct n) and the norm sum |psi|^2; when the run
+has a test function f, the direct state gives the energy pairing
 sum conj(f(eps y)) e_y with the site energy density e_y = 2 |psi_y|^2.
 """
 
@@ -154,10 +158,12 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     pairing: object | None = None   # optional test function f(x) for energy pairing
-    # "rescaled": each realization inverts the disordered wave map exactly, so
-    # F(0,0) is pinned to the wave norm.  "direct": all realizations start
-    # from the same disorder-free (q0, v0), whose energy pairing carries the
-    # O(sqrt(eps)) conversion error of the substitution data.
+    # the state that F and the norm are measured on.  "rescaled": each
+    # realization inverts the disordered wave map exactly, so F(0,0) is pinned
+    # to the wave norm.  "direct": all realizations start from the same
+    # disorder-free (q0, v0).  The energy pairing is always measured on the
+    # direct state, whose pairing carries the O(sqrt(eps)) conversion error
+    # of the substitution data.
     convention: str = "rescaled"
 
     def __post_init__(self):
@@ -227,29 +233,39 @@ def _paired(weights: np.ndarray, density: np.ndarray):
 def _one_realization(args) -> tuple:
     config, observables, state0_q, v_base, weights, r = args
     field_r = sample_disorder(config.L, config.distribution, seed=(config.seed, r))
+    # the direct chain starts from the substitution data (q0, v_base); the
+    # rescaled one inverts the disordered wave map exactly, so it evolves the
+    # given wave data itself and F(0,0) stays pinned to its norm on every
+    # realization.  F and the norm are measured on the convention's state,
+    # the pairing on the direct one; one stacked propagation yields both
+    velocities = []
+    if weights is not None or config.convention == "direct":
+        velocities.append(v_base)
     if config.convention == "rescaled":
-        # invert the disordered wave map exactly: the run then evolves the
-        # given wave data itself, and F(0,0) stays pinned to its norm on
-        # every realization
-        v0 = (1.0 + np.sqrt(config.eps) * field_r.xi) * v_base
-    else:
-        v0 = v_base
-    state_t = propagate(
-        LatticeState(q=state0_q, v=v0), field_r, config.eps, config.couplings,
-        config.t_bar / config.eps,
-    )
-    psi_t = to_wavefunction(state_t, field_r, config.eps, config.couplings)
+        velocities.append((1.0 + np.sqrt(config.eps) * field_r.xi) * v_base)
+    states = propagate(state0_q, velocities, field_r, config.eps,
+                       config.couplings, config.t_bar / config.eps)
+    psi_t = to_wavefunction(states[-1], field_r, config.eps, config.couplings)
     row = f_row(psi_t, config.eps, observables)
     density = np.abs(psi_t) ** 2
-    pair_t = None if weights is None else _paired(weights, density)
-    return row, float(np.sum(density)), pair_t
+    norm = float(np.sum(density))
+    if weights is None:
+        return row, norm, None
+    if len(states) > 1:
+        # free this field before the direct state is mapped
+        del psi_t, density
+        density = np.abs(to_wavefunction(states[0], field_r, config.eps,
+                                         config.couplings)) ** 2
+    return row, norm, _paired(weights, density)
 
 
 def disorder_average(config: RunConfig, observables: list[Observable]) -> WignerResult:
     """Average F over independent disorder realizations.
 
     The observable list may be empty when the run has a pairing: each
-    realization then measures its norm and energy pairing only.
+    realization then measures its norm and energy pairing only.  A
+    realization's F row and norm come from the convention's state, and its
+    pairing from the direct state of the same disorder draw.
     Realizations stream through one at a time (serial mode is bitwise
     reproducible); a blown-up realization is dropped with a warning, and more
     than 5% drops fail the whole run.  With workers > 1 the realizations are

@@ -243,6 +243,24 @@ def test_compare_summary_carries_the_transport_report(tmp_path):
     assert harness.criterion_13(transport).detail == summary["transport"]
 
 
+def test_compare_writes_one_transport_stage_per_rung(tmp_path):
+    """compare writes transport_<i>_<hash12>.json for each rung i, carrying
+    the rung's pairing estimate and the count of realizations behind it;
+    the benchmark's ladder check globs these files and reads count."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    report = io.read_json(out / "report.json")
+    summary = io.read_json(out / "summary.json")
+    for i, rung in enumerate(report["rungs"]):
+        (stage,) = out.glob(f"transport_{i}_*.json")
+        assert stage.name == f"transport_{i}_{report['config_hash'][:12]}.json"
+        row = io.read_json(stage)
+        assert row["count"] == rung["count"] == SMALL_COMPARE["realizations"]
+        assert row["pairing_t_mean"] == summary["transport"]["micro_t"][i]
+    assert len(list(out.glob("transport_*_*.json"))) == len(SMALL_COMPARE["epsilons"])
+
+
 def test_compare_refuses_a_shift_longer_than_half_a_box(tmp_path, capsys):
     """An observable shift that one rung's box cannot resolve is a config
     error at validation: --validate-only exits 1, and a full run writes no

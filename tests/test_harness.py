@@ -163,7 +163,8 @@ def test_run_acceptance_summary_shape(tmp_path, monkeypatch):
     # The real criteria run in tests/test_acceptance.py.
     from kinwave import harness
 
-    stubs = {cid: (lambda cid=cid: CriterionResult(cid, f"stub {cid}", True, {}))
+    # criterion 8 is handed the study config, the others nothing
+    stubs = {cid: (lambda *cfg, cid=cid: CriterionResult(cid, f"stub {cid}", True, {}))
              for cid in range(1, 12)}
     monkeypatch.setattr(harness, "CRITERION_RUNNERS", stubs)
     monkeypatch.setattr(harness, "run_study", lambda cfg, out_dir=None: ("rep", "tr"))
@@ -187,7 +188,66 @@ def test_run_acceptance_summary_shape(tmp_path, monkeypatch):
     assert on_disk == json.loads(json.dumps(summary))
 
 
-DEFAULT_HASH = "89d2e4e348ba0e4e32cf0495cebc29615442e0b109c672bb043d3b1e93507c28"
+def test_criterion_8_runs_on_the_acceptance_config(tmp_path, monkeypatch):
+    """run_acceptance hands its study config to criterion 8: the cross-check
+    runs on it and reports its crosscheck_xi2, under its config hash."""
+    from dataclasses import replace
+
+    from kinwave import harness
+
+    cfg = replace(DEFAULT_STUDY, crosscheck_xi2=0.5, master_seed=11)
+    seen = []
+
+    def crosscheck(study):
+        seen.append(study)
+        return harness.CrosscheckReport(
+            observables=study.observables[:1], jump_means=[1.0], dyson_means=[1.0],
+            combined_se=[0.1], z_scores=[0.0], worst_z=0.0, tail_bound=0.0,
+            counts_mean=1.0)
+
+    stubs = {cid: (lambda cid=cid: CriterionResult(cid, f"stub {cid}", True, {}))
+             for cid in range(1, 12) if cid != 8}
+    monkeypatch.setattr(harness, "CRITERION_RUNNERS",
+                        {**stubs, 8: harness.criterion_8})
+    monkeypatch.setattr(harness, "solver_crosscheck", crosscheck)
+    monkeypatch.setattr(harness, "run_study", lambda cfg, out_dir=None: ("rep", "tr"))
+    for cid in (12, 13):
+        monkeypatch.setattr(harness, f"criterion_{cid}",
+                            lambda report, cid=cid: CriterionResult(cid, "stub", True, {}))
+
+    summary = harness.run_acceptance(out_dir=tmp_path, cfg=cfg)
+
+    assert seen == [cfg]
+    (row,) = [row for row in summary["criteria"] if row["id"] == 8]
+    assert row["passed"] and row["detail"]["xi2"] == 0.5
+    assert summary["config_hash"] == io.config_hash(cfg.to_obj())
+    assert summary["master_seed"] == 11
+
+
+def test_one_disorder_draw_per_realization_for_both_ladders(monkeypatch):
+    """A rung draws each of its R disorder fields once: the convergence and
+    the transport ladder share the draws, so a study of n rungs makes n R
+    draws, not 2 n R, and each transport row carries its rung's count."""
+    from kinwave import harness, wigner
+
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return sample_disorder(*args, **kwargs)
+
+    monkeypatch.setattr(wigner, "sample_disorder", counting)
+    cfg = StudyConfig.from_obj({"epsilons": [0.5, 0.25], "box_sizes": [16, 20],
+                                "t_bar": 0.1, "realizations": 3, "M": 8,
+                                "particles": 2000, "master_seed": 7})
+    report, transport = harness.run_study(cfg)
+    assert sorted(draws) == sorted((_eps_seed(7, i), r) for i in range(2) for r in range(3))
+    assert [r.count for r in report.rungs] == [3, 3]
+    assert transport.micro_t == [r.pairing_t_mean for r in report.rungs]
+    assert transport.micro_t_se == [r.pairing_t_se for r in report.rungs]
+
+
+DEFAULT_HASH = "341eb2f4612b98bc968cd004415c937d2aac3b9c2a837f8e1146456e6396ee11"
 
 
 def _hash(cfg):
@@ -208,7 +268,7 @@ def test_study_from_obj_keeps_the_config_hashes():
     # explicit couplings carry no tag, which the hash records
     explicit = StudyConfig.from_obj({**spelled, "couplings": io.couplings_to_obj(C)})
     assert explicit.couplings.entries == C.entries
-    assert _hash(explicit).startswith("7d4d50011f14")
+    assert _hash(explicit).startswith("8395cd42f23b")
 
 
 def test_study_from_obj_coerces_numbers():

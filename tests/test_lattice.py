@@ -234,7 +234,7 @@ def test_propagate_is_exact_on_the_clean_lattice(name):
                               distribution="rademacher", seed=0)
         state = from_wavefunction(random_psi(L, 31), c, clean, 0.0)
         for t in (0.05, 1.0, 4.0, 25.0):
-            got = propagate(state, clean, 0.0, c, t)
+            (got,) = propagate(state.q, [state.v], clean, 0.0, c, t)
             exact = evolve_free_spectral(state, c, t)
             assert _close(got.q, exact.q, 1e-12), (L, t)
             assert _close(got.v, exact.v, 1e-12), (L, t)
@@ -249,7 +249,7 @@ def test_propagate_matches_richardson_extrapolated_verlet(name):
     for L in (5, 8):
         state, d = disordered_state(c, L, eps)
         dt = 0.1 / (_multipliers(c, L)["omega_max"] * (1.0 + np.sqrt(eps) * d.xi_bar))
-        got = propagate(state, d, eps, c, t)
+        (got,) = propagate(state.q, [state.v], d, eps, c, t)
         coarse = evolve(state, d, eps, c, t, dt=dt / 8)
         fine = evolve(state, d, eps, c, t, dt=dt / 16)
         for field in ("q", "v"):
@@ -261,16 +261,16 @@ def test_propagate_matches_richardson_extrapolated_verlet(name):
 
 def test_propagate_at_time_zero_returns_the_state_and_refuses_bad_input():
     state, d = disordered_state(C, 6, 0.25)
-    out = propagate(state, d, 0.25, C, 0.0)
+    (out,) = propagate(state.q, [state.v], d, 0.25, C, 0.0)
     assert out.q.tobytes() == state.q.tobytes() and out.v.tobytes() == state.v.tobytes()
     assert out.q is not state.q and out.v is not state.v
     with pytest.raises(ConfigError):
-        propagate(state, d, 0.25, C, -1.0)
+        propagate(state.q, [state.v], d, 0.25, C, -1.0)
     with pytest.raises(ConfigError):
-        propagate(state, d, 1.0, C, 1.0)             # sqrt(eps) xi_bar = 1
+        propagate(state.q, [state.v], d, 1.0, C, 1.0)          # sqrt(eps) xi_bar = 1
     indefinite = Couplings(entries=(((-1, 0, 0), 1.0), ((1, 0, 0), 1.0)))
     with pytest.raises(ConfigError, match="not positive"):
-        propagate(state, d, 0.25, indefinite, 1.0)   # symbol 2 cos(2 pi k1)
+        propagate(state.q, [state.v], d, 0.25, indefinite, 1.0)  # symbol 2 cos(2 pi k1)
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_SETS))
@@ -282,11 +282,28 @@ def test_propagate_conserves_energy_and_the_norm(name):
     q0, v0 = state.q.copy(), state.v.copy()
     e0 = energy(state, d, eps, c)
     for t in (0.7, 9.0):
-        out = propagate(state, d, eps, c, t)
+        (out,) = propagate(state.q, [state.v], d, eps, c, t)
         assert energy(out, d, eps, c) == pytest.approx(e0, rel=1e-12)
         psi = to_wavefunction(out, d, eps, c)
         assert wavefunction_norm_squared(psi) == pytest.approx(e0, rel=1e-12)
     assert np.array_equal(state.q, q0) and np.array_equal(state.v, v0)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SETS))
+def test_stacked_chains_match_separate_propagations(name):
+    """One stacked recurrence on (q0, v_base, (1 + sqrt(eps) xi) v_base), as a
+    realization of both ladders runs it, gives each final state of a
+    one-chain propagation to 1e-13, and in the order of the velocities."""
+    c, eps, t = COUPLING_SETS[name], 0.25, 6.0
+    state, d = disordered_state(c, 8, eps)
+    velocities = [state.v, (1.0 + np.sqrt(eps) * d.xi) * state.v]
+    stacked = propagate(state.q, velocities, d, eps, c, t)
+    assert len(stacked) == 2
+    for v0, got in zip(velocities, stacked):
+        (alone,) = propagate(state.q, [v0], d, eps, c, t)
+        assert _close(got.q, alone.q, 1e-13) and _close(got.v, alone.v, 1e-13)
+    at0 = propagate(state.q, velocities, d, eps, c, 0.0)
+    assert all(np.array_equal(s.v, v0) for s, v0 in zip(at0, velocities))
 
 
 @pytest.mark.parametrize("name", ["nn_squared", "far"])

@@ -124,3 +124,23 @@ def test_one_estimate_record():
                 and stmt.target.id.startswith("stderr_") for stmt in node.body)
     )
     assert declaring == ["wigner.Estimates"]
+
+
+def test_tracer_reads_only_run_config_fields():
+    """The benchmark tracer records, for each disorder_average call, the
+    attributes it reads from the call's first argument, a RunConfig: every
+    cfg.<attr> in its wigner.disorder_average branch is a RunConfig field."""
+    from dataclasses import fields
+
+    from kinwave.wigner import RunConfig
+
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (branch,) = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+                 and isinstance(node.test, ast.Compare)
+                 and any(isinstance(c, ast.Constant) and c.value == "wigner.disorder_average"
+                         for c in node.test.comparators)]
+    read = {node.attr for stmt in branch.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"}
+    assert read >= {"convention", "eps", "L"}
+    assert read <= {f.name for f in fields(RunConfig)}

@@ -189,8 +189,10 @@ def bump(x):
 
 
 def test_one_wave_map_per_realization(monkeypatch):
-    """A realization maps its evolved state to psi once and measures F, the
-    norm and the energy pairing all from that one field."""
+    """A realization maps each state it propagated to psi once: with the
+    direct convention one state gives F, the norm and the energy pairing;
+    with the rescaled one, the rescaled state gives F and the norm and the
+    direct state of the same draw the pairing."""
     calls = []
 
     def counting(*args):
@@ -198,9 +200,40 @@ def test_one_wave_map_per_realization(monkeypatch):
         return to_wavefunction(*args)
 
     monkeypatch.setattr(wigner, "to_wavefunction", counting)
-    res = disorder_average(run_config(pairing=bump), MODES)
+    res = disorder_average(run_config(convention="direct", pairing=bump), MODES)
     assert len(calls) == 4
     assert res.pairing_t.shape == (4,)
+    calls.clear()
+    res = disorder_average(run_config(pairing=bump), MODES)
+    assert len(calls) == 8
+    assert res.pairing_t.shape == (4,)
+    calls.clear()
+    disorder_average(run_config(), MODES)
+    assert len(calls) == 4
+
+
+def test_pairing_run_measures_both_states_of_one_draw(monkeypatch):
+    """A rescaled run with a pairing draws each disorder field once and takes
+    the F row from its rescaled state and the pairing from its direct state:
+    R draws, not one set per measurement."""
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return sample_disorder(*args, **kwargs)
+
+    monkeypatch.setattr(wigner, "sample_disorder", counting)
+    config = run_config(pairing=bump)
+    res = disorder_average(config, MODES)
+    assert draws == [(config.seed, r) for r in range(config.realizations)]
+    # F and the norm as a run without a pairing measures them, the pairing
+    # as a direct run measures it, to rounding
+    rescaled = disorder_average(run_config(), MODES)
+    direct = disorder_average(run_config(convention="direct", pairing=bump), MODES)
+    assert len(draws) == 3 * config.realizations
+    assert np.allclose(res.estimates.mean, rescaled.estimates.mean, rtol=1e-13, atol=0.0)
+    assert res.norm_mean == pytest.approx(rescaled.norm_mean, rel=1e-13)
+    assert np.allclose(res.pairing_t, direct.pairing_t, rtol=1e-13, atol=0.0)
 
 
 def test_pairing_matches_energy_density_pairing_and_workers():
@@ -217,7 +250,7 @@ def test_pairing_matches_energy_density_pairing_and_workers():
     psi0 = initial_wavefunction(PACKET, config.L, config.eps)
     state0 = from_wavefunction(psi0, C)
     d = sample_disorder(config.L, config.distribution, seed=(config.seed, 0))
-    state_t = propagate(state0, d, config.eps, C, config.t_bar / config.eps)
+    (state_t,) = propagate(state0.q, [state0.v], d, config.eps, C, config.t_bar / config.eps)
     assert serial.pairing_t[0] == energy_density_pairing(state_t, d, config.eps, C, bump)
 
 
