@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "TWO_PI",
     "Couplings",
     "DispersionGrid",
+    "EnergyLevels",
     "CriticalPoint",
     "DecayFit",
     "CrossingEstimate",
@@ -152,9 +154,24 @@ def couplings_nn_squared(omega0: float) -> Couplings:
     return _canonical(entries, tag=f"nn2:{omega0!r}")
 
 
+class EnergyLevels(NamedTuple):
+    """The distinct values of omega on a grid, sorted ascending, with how many
+    grid points take each one; omega_flat == omega[inverse] bitwise."""
+
+    omega: np.ndarray      # (U,) distinct energies
+    counts: np.ndarray     # (U,) grid points per energy, summing to M^3
+    inverse: np.ndarray    # (M^3,) level index of each flat grid point
+
+
 @dataclass(frozen=True)
 class DispersionGrid:
-    """omega and its analytic gradient on the periodic grid k = m/M, m in {0..M-1}^3."""
+    """omega and its analytic gradient on the periodic grid k = m/M, m in {0..M-1}^3.
+
+    A grid sum of a function of omega alone runs over the distinct energies
+    in levels, each weighted by its count: the lattice symmetries make them
+    far fewer than the grid points (4177 of 110592 at M = 48 and 10483 of
+    262144 at M = 64 for couplings_nn(1.0)).
+    """
 
     couplings: Couplings
     M: int
@@ -166,6 +183,14 @@ class DispersionGrid:
     @cached_property
     def omega_flat(self) -> np.ndarray:
         return self.omega.reshape(-1)
+
+    @cached_property
+    def levels(self) -> EnergyLevels:
+        """Grouping by exact float equality of omega, with no tolerance, so a
+        sum over levels differs from the grid sum only in summation order."""
+        omega, inverse, counts = np.unique(
+            self.omega_flat, return_inverse=True, return_counts=True)
+        return EnergyLevels(omega=omega, counts=counts, inverse=inverse)
 
     @cached_property
     def grad_flat(self) -> np.ndarray:
@@ -356,6 +381,8 @@ def decay_exponent(
 ) -> DecayFit:
     """Fit the power-law decay of phi(t) = M^-3 sum_k f(k) exp(-i t omega(k)).
 
+    phi depends on k only through omega(k), so f is first summed over each
+    energy level of the grid and phi(t) is a sum over the distinct energies.
     Least squares of log|phi| against log t over log-spaced sample times.
     Sample times whose amplitude sits below the numerical noise floor are
     excluded; fewer than five usable points is a fit error.  The grid must
@@ -373,10 +400,12 @@ def decay_exponent(
             f">= 2 pi; increase M or reduce t_max"
         )
     weights = np.broadcast_to(np.asarray(f, dtype=np.float64), g.omega.shape)
-    w = g.omega_flat
     fw = weights.reshape(-1)
+    levels = g.levels
+    f_level = np.bincount(levels.inverse, weights=fw, minlength=levels.omega.size)
     ts = np.logspace(np.log10(t_min), np.log10(t_max), samples)
-    phi = np.array([np.sum(fw * np.exp(-1j * t * w)) for t in ts]) / g.n_points
+    phi = np.array([np.sum(f_level * np.exp(-1j * t * levels.omega))
+                    for t in ts]) / g.n_points
     amp = np.abs(phi)
 
     floor = 1e-12 * float(np.mean(np.abs(fw)))

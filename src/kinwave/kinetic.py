@@ -422,15 +422,19 @@ def gate_function(
     g_{s1 s2}(k; w) = xi2 * sum_{s'} avg_{k'} i/(w - s' omega(k'))
                       * (omega(k) + s1 s' omega(k')) / 2
                       * (omega(k) + s2 s' omega(k')) / 2.
+
+    The summand depends on k' only through omega(k'), so the average runs
+    over the grid's distinct energies, each weighted by its count.
     """
     if s1 not in (-1, 1) or s2 not in (-1, 1):
         raise ConfigError("component signs must be +-1")
     wk = float(grid.couplings.omega(np.asarray(k, dtype=np.float64)))
-    wp = grid.omega_flat
+    wp, counts = grid.levels.omega, grid.levels.counts
     total = 0.0 + 0.0j
     for sp in (-1, 1):
         total += np.sum(
-            1j / (w - sp * wp) * ((wk + s1 * sp * wp) / 2.0) * ((wk + s2 * sp * wp) / 2.0)
+            counts * (1j / (w - sp * wp) * ((wk + s1 * sp * wp) / 2.0)
+                      * ((wk + s2 * sp * wp) / 2.0))
         )
     return complex(xi2 * total / grid.n_points)
 

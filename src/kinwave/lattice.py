@@ -48,6 +48,7 @@ __all__ = [
     "evolve",
     "propagate",
     "spectral_bound",
+    "free_phase",
     "evolve_free_spectral",
     "to_wavefunction",
     "from_wavefunction",
@@ -510,11 +511,27 @@ def wavefunction_norm_squared(psi_plus: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.abs(psi_plus) ** 2))
 
 
+@lru_cache(maxsize=16)
+def _box_levels(c: Couplings, L: int) -> tuple:
+    """Distinct values of the box-grid omega and the level index of each site."""
+    omega = _multipliers(c, L)["omega"]
+    levels, inverse = np.unique(omega, return_inverse=True)
+    return levels, inverse.reshape(omega.shape)
+
+
+def free_phase(c: Couplings, L: int, t: float) -> np.ndarray:
+    """exp(-i omega(k) t) on the box grid k = m/L, in np.fft order: the factor
+    by which the clean lattice advances each Fourier mode of psi_+ over a time
+    t.  One exponential per distinct omega, gathered onto the grid, so the
+    result equals the exponential taken site by site bitwise."""
+    levels, inverse = _box_levels(c, L)
+    return np.exp(-1j * t * levels)[inverse]
+
+
 def evolve_free_spectral(state: LatticeState, c: Couplings, t: float) -> LatticeState:
     """Exact clean-lattice (xi = 0) evolution: psi_hat(k, t) = exp(-i omega t) psi_hat(k, 0)."""
     psi = to_wavefunction(state, None, 0.0, c)
-    omega = _multipliers(c, state.L)["omega"]
-    return from_wavefunction(np.fft.ifftn(np.exp(-1j * t * omega) * np.fft.fftn(psi)), c)
+    return from_wavefunction(np.fft.ifftn(free_phase(c, state.L, t) * np.fft.fftn(psi)), c)
 
 
 def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:

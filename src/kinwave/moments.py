@@ -35,29 +35,28 @@ MAX_ORDER = 10
 def enumerate_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All set partitions of {0..n-1} in canonical order.
 
-    Blocks are ordered by their minimum element (so each block's first entry
-    is its minimum); the list is ordered lexicographically by block structure.
+    Built level by level: each partition of {0..e-1} yields the partitions
+    of {0..e} that put e into each of its blocks in turn, then into a new
+    block.  Blocks are therefore ordered by their minimum element (so each
+    block's first entry is its minimum), and the list is ordered
+    lexicographically by the block chosen for each element.
     Refuses n > 10 (Bell numbers explode).
     """
     if not (1 <= n <= MAX_ORDER):
         raise ConfigError(f"partition order must lie in 1..{MAX_ORDER}")
-
-    partitions: list[tuple[tuple[int, ...], ...]] = []
-
-    def grow(element: int, blocks: list[list[int]]) -> None:
-        if element == n:
-            partitions.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(element)
-            grow(element + 1, blocks)
-            b.pop()
-        blocks.append([element])
-        grow(element + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    return partitions
+    level: list[tuple[tuple[int, ...], ...]] = [((0,),)]
+    for e in range(1, n):
+        new = (e,)
+        grown = []
+        for p in level:
+            blocks = list(p)
+            for i, block in enumerate(p):
+                blocks[i] = block + new
+                grown.append(tuple(blocks))
+                blocks[i] = block
+            grown.append(p + (new,))
+        level = grown
+    return level
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def verify_moment_mc(
                           (n_samples, len(labels)))
     prod = np.ones(n_samples)
     for lab in sites:
-        prod = prod * draws[:, columns[lab]]
+        prod *= draws[:, columns[lab]]
     mc_mean = float(prod.mean())
     mc_se = float(prod.std(ddof=1) / np.sqrt(n_samples))
     exact = float(moment_via_partitions(sites, cumulants_of(distribution, len(sites))))

@@ -135,3 +135,24 @@ def test_deterministic_estimates():
     b = crossing_integral_estimate(c, (0.3, 0.1, 0.2), 0.5, (1, -1, 1),
                                    (0.2, 0.0, 0.1), n_samples=500, seed=9)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("c, M", [(couplings_nn(1.0), 16), (couplings_nn_squared(0.7), 12)])
+def test_levels_give_back_the_grid_energies_bitwise(c, M):
+    g = build_dispersion(c, M)
+    levels = g.levels
+    np.testing.assert_array_equal(levels.omega[levels.inverse], g.omega_flat)
+    assert levels.counts.sum() == M**3
+    assert np.all(np.diff(levels.omega) > 0.0)
+    np.testing.assert_array_equal(np.bincount(levels.inverse), levels.counts)
+
+
+def test_decay_exponent_matches_the_direct_grid_sum():
+    """phi(t) summed over energy levels equals the per-k sum
+    M^-3 sum_k f(k) exp(-i t omega(k)) for an f with no lattice symmetry."""
+    g = build_dispersion(couplings_nn(1.0), 16)
+    f = np.random.default_rng(5).random((16, 16, 16))
+    fit = decay_exponent(g, f, t_min=1.0, t_max=8.0, samples=12)
+    fw = f.reshape(-1)
+    direct = np.abs([np.sum(fw * np.exp(-1j * t * g.omega_flat)) for t in fit.times])
+    np.testing.assert_allclose(fit.amplitudes, direct / g.n_points, rtol=1e-12, atol=0.0)

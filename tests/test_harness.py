@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kinwave import io
+from kinwave import harness, io
 from kinwave.dispersion import build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
 from kinwave.harness import (
@@ -19,7 +19,14 @@ from kinwave.harness import (
     substitution_gap_exact,
 )
 from kinwave.initial import WKBPacket
-from kinwave.lattice import sample_disorder
+from kinwave.lattice import (
+    evolve_free_spectral,
+    from_wavefunction,
+    macro_grid,
+    sample_disorder,
+    to_wavefunction,
+    wkb_state,
+)
 from kinwave.wigner import Observable
 
 C = couplings_nn(1.0)
@@ -149,6 +156,55 @@ def test_substitution_gap_decays_linearly():
 def test_free_flight_sigma_mismatch():
     with pytest.raises(ConfigError):
         free_flight_check(sigmas=(1.0,), epsilons=(0.25, 0.125))
+
+
+def _round_trip_velocity(c, packet, eps, L, t_macro, n_samples):
+    """Packet drift by the state round trip: evolve_free_spectral from the
+    clean state to each sample time, then the centroid of |psi|^2 over the
+    full macroscopic grid."""
+    state0 = from_wavefunction(wkb_state(L, eps, packet.envelope, packet.phase), c)
+    x = macro_grid(L, eps)
+    times = np.linspace(0.0, t_macro, n_samples + 1)
+    cents = []
+    for tm in times:
+        state = evolve_free_spectral(state0, c, tm / eps) if tm > 0.0 else state0
+        density = np.abs(to_wavefunction(state, None, eps, c)) ** 2
+        cents.append([np.sum(x[..., i] * density) / np.sum(density) for i in range(3)])
+    return np.polynomial.polynomial.polyfit(times, np.array(cents), 1)[1]
+
+
+def test_free_flight_velocities_match_the_state_round_trip():
+    rep = free_flight_check()
+    for eps, sigma, v in zip(rep.epsilons, rep.sigmas, rep.velocities):
+        ref = _round_trip_velocity(C, WKBPacket(k0=tuple(rep.k0), sigma=sigma), eps,
+                                   64, 1.5, 4)
+        assert np.linalg.norm(np.array(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref_c = _round_trip_velocity(C, WKBPacket(k0=(0.5, 0.5, 0.5), sigma=rep.sigmas[0]),
+                                 0.25, 32, 1.5, 4)
+    assert abs(rep.critical_speed - np.linalg.norm(ref_c)) <= 1e-12 * np.linalg.norm(ref_c)
+
+
+def test_criterion_7_p_values_match_scipy_chisquare(monkeypatch):
+    """On the pooled cells of each of the criterion's three streams, the
+    statistic and p-value equal scipy.stats.chisquare's."""
+    import scipy.stats
+
+    calls = []
+    chi_square = harness._chi_square
+
+    def recording(observed, expected):
+        out = chi_square(observed, expected)
+        calls.append((observed, expected, out))
+        return out
+
+    monkeypatch.setattr(harness, "_chi_square", recording)
+    result = harness.criterion_7()
+    assert len(calls) == 3
+    for observed, expected, (chi2, p_value) in calls:
+        ref = scipy.stats.chisquare(observed, expected)
+        assert chi2 == pytest.approx(ref.statistic, rel=1e-12, abs=0.0)
+        assert p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+    assert result.detail["p_values"] == [p for *_, (_, p) in calls]
 
 
 def test_criterion_result_line():

@@ -482,3 +482,19 @@ def test_dyson_validation():
         dyson_characteristic(PACKET, TABLE, 0.5, [ZERO], n_mc=10)
     with pytest.raises(ConfigError):
         dyson_characteristic(PACKET, TABLE, -0.5, [ZERO])
+
+
+def test_gate_function_matches_the_direct_grid_sum():
+    """The gate summed over distinct energies with their counts equals the
+    average over every grid point k'."""
+    k = np.array([0.13, 0.4, 0.71])
+    wk = float(C.omega(k))
+    wp = GRID.omega_flat
+    for s1, s2, w in ((1, 1, wk + 0.05j), (1, -1, 2.0 + 0.3j), (-1, -1, -1.1 + 0.02j)):
+        direct = sum(
+            np.sum(1j / (w - sp * wp) * ((wk + s1 * sp * wp) / 2.0)
+                   * ((wk + s2 * sp * wp) / 2.0))
+            for sp in (-1, 1)
+        ) * 0.7 / GRID.n_points
+        got = gate_function(GRID, k, w, s1, s2, xi2=0.7)
+        assert abs(got - direct) <= 1e-12 * abs(direct)

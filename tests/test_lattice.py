@@ -11,6 +11,7 @@ from kinwave.lattice import (
     envelope_mass_outside,
     evolve,
     evolve_free_spectral,
+    free_phase,
     from_wavefunction,
     macro_grid,
     point_state,
@@ -395,3 +396,10 @@ def test_wkb_packet_validation():
         WKBPacket(k0=(0.1, 0.0, 0.0), sigma=0.0)
     p = WKBPacket(k0=(0.1, 0.2, 0.3), sigma=1.5)
     assert p.diameter == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("c", [C, couplings_nn_squared(0.7)])
+def test_free_phase_is_the_sitewise_exponential(c):
+    for L, t in ((8, 0.3), (16, 7.1), (32, 120.0)):
+        np.testing.assert_array_equal(
+            free_phase(c, L, t), np.exp(-1j * t * _multipliers(c, L)["omega"]))

@@ -26,6 +26,31 @@ def test_partitions_are_partitions():
         assert all(block == tuple(sorted(block)) for block in part)
 
 
+def _recursive_partitions(n):
+    """Depth-first reference: element e joins each block in turn, then a new one."""
+    out = []
+
+    def grow(element, blocks):
+        if element == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(element)
+            grow(element + 1, blocks)
+            b.pop()
+        blocks.append([element])
+        grow(element + 1, blocks)
+        blocks.pop()
+
+    grow(0, [])
+    return out
+
+
+def test_partitions_match_the_recursive_reference_in_order():
+    for n in range(1, 9):
+        assert enumerate_partitions(n) == _recursive_partitions(n)
+
+
 def test_uniform_cumulants():
     cum = cumulants_of("uniform", 8)
     assert cum[1] == 0
