@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -458,6 +459,15 @@ _RUNNERS = {
 # dispatch
 
 
+@lru_cache(maxsize=None)
+def _validator(sub: str):
+    """The schema validator of a subcommand, built at its first use.  The
+    schemas are checked against their metaschema by the test suite, so no
+    call pays that check."""
+    schema = _SCHEMAS[sub]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def dispatch(argv) -> int:
     argv = list(argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -487,11 +497,10 @@ def dispatch(argv) -> int:
     except json.JSONDecodeError as exc:
         print(f"malformed config {path}: {exc}", file=sys.stderr)
         return 1
-    try:
-        jsonschema.validate(doc, _SCHEMAS[sub])
-    except jsonschema.ValidationError as exc:
-        print(f"config schema violation at {list(exc.absolute_path)}: "
-              f"{exc.message}", file=sys.stderr)
+    error = jsonschema.exceptions.best_match(_validator(sub).iter_errors(doc))
+    if error is not None:
+        print(f"config schema violation at {list(error.absolute_path)}: "
+              f"{error.message}", file=sys.stderr)
         return 1
 
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or doc.get("output_dir", "."))

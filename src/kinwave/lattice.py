@@ -17,7 +17,11 @@ Verlet, the integrator under test in the acceptance criteria 1-3 and the
 one behind `kinwave simulate`.  Both apply alpha * q in real space, as a
 periodic stencil over the finite-range coupling offsets: each offset is one
 contiguous shift of the flattened box, corrected exactly on the thin faces
-where that shift wraps across a row or a plane.  A Verlet step is one
+where that shift wraps across a row or a plane.  The stencil runs over the
+box one slab of whole planes (about 2^16 sites, so the box up to L = 40) at
+a time, and propagate sweeps the box once per Chebyshev term, doing each
+slab's stencils, scaling, subtraction and mixing while the slab is in
+cache; no site's arithmetic depends on the slabs.  A Verlet step is one
 stencil plus three in-place passes; its cost grows with the number of
 offsets, and no Fourier transform enters either integrator.
 The complex wave variable psi_y = (Omega q + i (1+sqrt(eps) xi)^-1 v)_y / 2
@@ -147,71 +151,125 @@ def _flat_shift(offset, L: int) -> tuple:
     return (s[0] * L * L + s[1] * L + s[2]) % L**3, face, source
 
 
+# sites per slab: a sweep over the box runs one slab of whole planes at a
+# time, so that the work of a slab stays in L2 (2**16 sites is 16 planes at
+# L = 64; of 8, 16 and 32 planes, 32 ran slower and 8 no faster than 16)
+_SLAB = 2**16
+
+
+def _slabs(L: int) -> list[tuple[int, int]]:
+    """The flat ranges [lo, hi) of the slabs of the box: runs of whole planes
+    of at most _SLAB sites (one plane if a plane is larger), the last one
+    shorter.  A box of at most _SLAB sites is a single slab."""
+    n, step = L**3, max(1, _SLAB // (L * L)) * L * L
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _as_slice(index: np.ndarray):
+    """A flat index array as the equal slice when it is an arithmetic
+    progression (the face of a +-z offset, one site per row), else as is."""
+    if index.size > 1:
+        step = int(index[1] - index[0])
+        if step > 0 and np.all(np.diff(index) == step):
+            return slice(int(index[0]), int(index[-1]) + 1, step)
+    return index
+
+
+def _slab_shift(shift: tuple, lo: int, hi: int, n: int) -> tuple:
+    """A flat shift of _flat_shift on the destination sites [lo, hi) of a box
+    of n sites: (d, pieces, face, source), with pieces the (destination,
+    source) slices of tf[i] <- qf[i - d mod n], destinations and face counted
+    from lo and sources from 0, and face None where no face site falls in
+    the slab.  A face whose sites and sources are both arithmetic
+    progressions is given as two slices."""
+    d, face, source = shift
+    start, size = (lo - d) % n, hi - lo
+    head = min(size, n - start)
+    pieces = ((slice(0, head), slice(start, start + head)),)
+    if head < size:
+        pieces += ((slice(head, size), slice(0, size - head)),)
+    inside = (face >= lo) & (face < hi)
+    if not inside.any():
+        return d, pieces, None, None
+    face, source = face[inside] - lo, source[inside]
+    as_slices = _as_slice(face), _as_slice(source)
+    if all(isinstance(x, slice) for x in as_slices):
+        face, source = as_slices
+    return d, pieces, face, source
+
+
 @lru_cache(maxsize=16)
 def _stencil(c: Couplings, L: int) -> tuple:
-    """Shift plan of alpha * q on the box: the offsets grouped by coupling
-    value, so each distinct value costs one multiply, with the groups of
-    value +-1 last, where _convolve adds them straight into its output."""
+    """Shift plan of alpha * q on the box, one entry (lo, hi, groups) per slab
+    of _slabs: the offsets grouped by coupling value, so each distinct value
+    costs one multiply, with the groups of value +-1 last, where _convolve
+    adds them straight into its output; each shift is restricted to the slab
+    by _slab_shift."""
     groups: dict[float, list] = {}
     for offset, value in c.entries:
         groups.setdefault(value, []).append(_flat_shift(offset, L))
-    return tuple(sorted(((value, tuple(shifts)) for value, shifts in groups.items()),
-                        key=lambda group: abs(group[0]) == 1.0))
+    ordered = sorted(groups.items(), key=lambda group: abs(group[0]) == 1.0)
+    return tuple(
+        (lo, hi, tuple((value, tuple(_slab_shift(shift, lo, hi, L**3) for shift in shifts))
+                       for value, shifts in ordered))
+        for lo, hi in _slabs(L))
 
 
-def _pieces(qf: np.ndarray, tf: np.ndarray, d: int) -> tuple:
-    """(destination, source) pieces of the flat shift tf[i] <- qf[i - d mod n]."""
-    n = qf.size
-    return ((tf[d:], qf[: n - d]), (tf[:d], qf[n - d:])) if d else ((tf, qf),)
-
-
-def _write_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, value: float) -> None:
-    """target_y = value * q_{(y - x) mod L} for one offset x of the plan, on
-    the flattened arrays."""
-    d, face, source = shift
-    for dst, src in _pieces(qf, tf, d):
-        np.multiply(src, value, out=dst)
-    if face.size:
+def _write_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, value) -> None:
+    """target_y = value * q_{(y - x) mod L} for one offset x of a slab plan,
+    on the flattened field and the slab's target."""
+    _, pieces, face, source = shift
+    for dst, src in pieces:
+        np.multiply(qf[src], value, out=tf[dst])
+    if face is not None:
         tf[face] = qf[source] * value
 
 
 def _add_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, op) -> None:
-    """target_y = op(target_y, q_{(y - x) mod L}) for one offset x of the
-    plan, op np.add or np.subtract, on the flattened arrays.  The face is
-    saved before the flat shift runs over it, then written exactly."""
-    d, face, source = shift
-    saved = tf[face] if face.size else None
-    for dst, src in _pieces(qf, tf, d):
-        op(dst, src, out=dst)
-    if face.size:
-        tf[face] = op(saved, qf[source])
+    """target_y = op(target_y, q_{(y - x) mod L}) for one offset x of a slab
+    plan, op np.add or np.subtract.  The face is formed exactly before the
+    flat shift runs over it, and written back after."""
+    _, pieces, face, source = shift
+    fixed = op(tf[face], qf[source]) if face is not None else None
+    for dst, src in pieces:
+        target = tf[dst]
+        op(target, qf[src], out=target)
+    if face is not None:
+        tf[face] = fixed
 
 
 def _convolve(q: np.ndarray, plan: tuple, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """out = (alpha * q)_y = sum_x alpha(x) q_{(y - x) mod L}, from the plan of
-    _stencil; out and acc are C-contiguous, acc a work buffer.  Returns out.
+    """out = (alpha * q)_y = sum_x alpha(x) q_{(y - x) mod L} on the sites of
+    consecutive slabs of a _stencil plan (the whole plan, or one slab of it),
+    one slab at a time; out holds those sites in order, and acc is a work
+    buffer of at least one slab.  Returns out.
 
     A group of value +-1 is added or subtracted straight into out; any other
     group is summed, scaled once and added through acc (the first group, or a
     single offset, is written already scaled).  The value of a leading
-    single-offset group may also be a flat per-site array (_with_diagonal)."""
-    if not plan:
-        out.fill(0.0)
+    single-offset group may also be the slab's part of a flat per-site array
+    (_with_diagonal).  Every site sees the same operations in the same order
+    whatever the slabs."""
     qf, of, af = q.reshape(-1), out.reshape(-1), acc.reshape(-1)
-    for g, (value, shifts) in enumerate(plan):
-        if g > 0 and abs(value) == 1.0:
-            op = np.add if value > 0.0 else np.subtract
-            for shift in shifts:
-                _add_shift(qf, of, shift, op)
-            continue
-        target = of if g == 0 else af
-        _write_shift(qf, target, shifts[0], value if len(shifts) == 1 else 1.0)
-        for shift in shifts[1:]:
-            _add_shift(qf, target, shift, np.add)
-        if len(shifts) > 1 and value != 1.0:
-            target *= value
-        if g > 0:
-            out += acc
+    base = plan[0][0]
+    for lo, hi, groups in plan:
+        tf, wf = of[lo - base: hi - base], af[: hi - lo]
+        if not groups:
+            tf.fill(0.0)
+        for g, (value, shifts) in enumerate(groups):
+            if g > 0 and abs(value) == 1.0:
+                op = np.add if value > 0.0 else np.subtract
+                for shift in shifts:
+                    _add_shift(qf, tf, shift, op)
+                continue
+            target = tf if g == 0 else wf
+            _write_shift(qf, target, shifts[0], value if len(shifts) == 1 else 1.0)
+            for shift in shifts[1:]:
+                _add_shift(qf, target, shift, np.add)
+            if len(shifts) > 1 and value != 1.0:
+                target *= value
+            if g > 0:
+                tf += wf
     return out
 
 
@@ -237,7 +295,8 @@ def energy(state: LatticeState, disorder: DisorderField, eps: float, c: Coupling
     q = state.q
     mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
     kinetic = 0.5 * float(np.sum(mass * state.v**2))
-    force = _convolve(q, _stencil(c, state.L), np.empty(q.shape), np.empty(q.shape))
+    plan = _stencil(c, state.L)
+    force = _convolve(q, plan, np.empty(q.shape), np.empty(plan[0][1]))
     potential = 0.5 * float(np.sum(q * force))
     return kinetic + potential
 
@@ -283,7 +342,7 @@ def evolve(
     kick = (-dt * dt) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2
     plan = _stencil(c, L)
     force = np.empty(kick.shape)
-    acc = np.empty(kick.shape)
+    acc = np.empty(plan[0][1])
 
     def dt2_accel(q: np.ndarray) -> np.ndarray:
         """dt^2 times the acceleration at q, written into the force buffer."""
@@ -353,28 +412,34 @@ def _propagator_series(t: float, lam: float) -> np.ndarray:
 
 
 def _with_diagonal(plan: tuple, diagonal: np.ndarray) -> tuple:
-    """Plan of (alpha + diag(diagonal)) q from the plan of alpha: the offset
-    0 (the one shift that moves no site) leaves its group, and its coupling
-    value joins the diagonal in a leading group whose value is per site."""
+    """Plan of (alpha + diag(diagonal)) q from the plan of alpha, slab by slab:
+    the offset 0 (the one shift that moves no site) leaves its group, and its
+    coupling value joins the diagonal in a leading group whose value is the
+    slab's part of one flat per-site array."""
     centre = diagonal.reshape(-1).copy()
-    groups = []
-    for value, shifts in plan:
-        moving = tuple(shift for shift in shifts if shift[0])
-        centre += value * (len(shifts) - len(moving))
-        if moving:
-            groups.append((value, moving))
-    identity = (0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-    return ((centre, (identity,)), *groups)
+    for value, shifts in plan[0][2]:
+        centre += value * sum(not shift[0] for shift in shifts)
+    slabs = []
+    for lo, hi, groups in plan:
+        identity = (0, ((slice(0, hi - lo), slice(lo, hi)),), None, None)
+        moving = []
+        for value, shifts in groups:
+            kept = tuple(shift for shift in shifts if shift[0])
+            if kept:
+                moving.append((value, kept))
+        slabs.append((lo, hi, ((centre[lo:hi], (identity,)), *moving)))
+    return tuple(slabs)
 
 
 # Chebyshev terms per accumulation: the terms of one block sit in a ring of
-# buffers and enter the sums through one matrix product (larger blocks were
-# no faster at L = 64 and hold more memory)
+# buffers and enter the sums through matrix products (larger blocks were no
+# faster at L = 64 and hold more memory)
 _BLOCK = 2
 
-# sites per piece of that product: each piece's result is added into the sums
-# at once, so no term-sized product buffer is ever held
-_MIX_CHUNK = 2**15
+# sites per matrix product: a slab's share of a block enters the sums in
+# pieces whose product is added while it is still in cache (2**13 took
+# about half the time of one product over a 2**16-site slab)
+_MIX_PIECE = 2**13
 
 
 def propagate(
@@ -400,9 +465,19 @@ def propagate(
     of cos(t sqrt K) q0 and of S q0 are formed once for every velocity, and
     K S q0 takes one stencil more.  A term costs one stencil per chain, with
     the -2 I of 2 A folded into its diagonal, one scaling pass and one
-    subtraction; no Fourier transform of the field enters.  A symbol that is
-    not positive on the box grid (K not positive definite) is refused;
-    non-finite field values abort.
+    subtraction; no Fourier transform of the field enters.
+
+    Each term sweeps the box once, one slab of _slabs at a time: on a slab it
+    applies the stencil of every chain to T_k into a slab-sized work buffer,
+    scales by (4 / Lambda) (1 + sqrt(eps) xi)^2 and subtracts T_{k-1}, and at
+    the end of a block adds the slab's share of the block into the sums, all
+    while the slab is in cache.  A stencil reads past its slab only into
+    T_k, which no slab of T_{k+1} overwrites, so every site sees the same
+    operations in the same order as in a sweep of the whole box, and no
+    buffer larger than a slab is allocated besides the ring of terms, the sums
+    and the per-site scaling and diagonal.  A symbol that is not positive on
+    the box grid (K not positive definite) is refused; non-finite field
+    values abort.
     """
     check_mass_positivity(disorder.distribution, eps)
     _multipliers(c, q0.shape[0])
@@ -413,11 +488,10 @@ def propagate(
     lam = spectral_bound(c, disorder, eps)
     cos_c, sinc_c = _propagator_series(t, lam)
     plan = _stencil(c, q0.shape[0])
-    msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
-    w = (4.0 / lam) * msq
+    w = ((4.0 / lam) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2).reshape(-1)
     shifted = _with_diagonal(plan, -2.0 / w)   # 2 A = w (alpha - 2 / w)
-    acc = np.empty(msq.shape)
-    work = np.empty(msq.shape)
+    acc = np.empty(plan[0][1])
+    work = np.empty(plan[0][1])
 
     # the Chebyshev terms T_j on the chains (q0, v0, v0', ...) in a ring of
     # _BLOCK buffers; the sums cos q0 + S v0 for each v0, cos v0 for each v0,
@@ -435,38 +509,47 @@ def propagate(
         mix[:n_terms, m + i, 1 + i] = cos_c
     mix = mix.reshape(blocks, _BLOCK, 2 * m + 1, chains).transpose(0, 2, 1, 3)
     mix = mix.reshape(blocks, 2 * m + 1, -1)
-    ring = np.zeros((_BLOCK, chains, *msq.shape))
-    ring[0, 0] = q0
+    ring = np.zeros((_BLOCK, chains, w.size))
+    ring[0, 0] = q0.reshape(-1)
     for i, v0 in enumerate(velocities):
-        ring[0, 1 + i] = v0
+        ring[0, 1 + i] = v0.reshape(-1)
     flat = ring.reshape(_BLOCK * chains, -1)
-    sums = np.zeros((2 * m + 1, msq.size))
+    sums = np.zeros((2 * m + 1, w.size))
     for j in range(n_terms):
-        if j > 0:
-            # T_j = 2 A T_{j-1} - T_{j-2} and T_1 = A T_0, one chain at a time
-            # through one work buffer
-            for chain in range(chains):
-                _convolve(ring[(j - 1) % _BLOCK, chain], shifted, work, acc)
-                work *= w
-                out = ring[j % _BLOCK, chain]
-                if j == 1:
-                    np.multiply(work, 0.5, out=out)
-                else:
-                    np.subtract(work, ring[(j - 2) % _BLOCK, chain], out=out)
-        if j % _BLOCK == _BLOCK - 1 or j == n_terms - 1:
-            block = mix[j // _BLOCK]
-            for lo in range(0, msq.size, _MIX_CHUNK):
-                piece = slice(lo, lo + _MIX_CHUNK)
-                sums[:, piece] += block @ flat[:, piece]
-    ks = _convolve(sums[2 * m].reshape(msq.shape), plan, work, acc)
-    ks *= msq
-    states = []
-    for i in range(m):
-        v = np.subtract(sums[m + i], ks.reshape(-1), out=sums[m + i]).reshape(msq.shape)
-        states.append(LatticeState(q=sums[i].reshape(msq.shape), v=v))
+        mixes = j % _BLOCK == _BLOCK - 1 or j == n_terms - 1
+        if j == 0 and not mixes:
+            continue
+        for slab in shifted:
+            lo, hi, _ = slab
+            if j > 0:
+                # T_j = 2 A T_{j-1} - T_{j-2} and T_1 = A T_0 on this slab, one
+                # chain at a time through one work buffer
+                scaled = work[: hi - lo]
+                for chain in range(chains):
+                    _convolve(ring[(j - 1) % _BLOCK, chain], (slab,), scaled, acc)
+                    scaled *= w[lo:hi]
+                    out = ring[j % _BLOCK, chain, lo:hi]
+                    if j == 1:
+                        np.multiply(scaled, 0.5, out=out)
+                    else:
+                        np.subtract(scaled, ring[(j - 2) % _BLOCK, chain, lo:hi], out=out)
+            if mixes:
+                for a in range(lo, hi, _MIX_PIECE):
+                    piece = slice(a, min(a + _MIX_PIECE, hi))
+                    sums[:, piece] += mix[j // _BLOCK] @ flat[:, piece]
+    # v(t) = cos v0 - K S q0, slab by slab
+    xi = disorder.xi.reshape(-1)
+    for slab in plan:
+        lo, hi, _ = slab
+        ks = _convolve(sums[2 * m], (slab,), work[: hi - lo], acc)
+        ks *= (1.0 + np.sqrt(eps) * xi[lo:hi]) ** 2
+        for i in range(m):
+            np.subtract(sums[m + i, lo:hi], ks, out=sums[m + i, lo:hi])
     if not np.isfinite(np.sum(sums[: 2 * m])):
         raise StabilityError("field blew up during propagation")
-    return states
+    shape = q0.shape
+    return [LatticeState(q=sums[i].reshape(shape), v=sums[m + i].reshape(shape))
+            for i in range(m)]
 
 
 def to_wavefunction(

@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -56,6 +57,28 @@ def test_missing_required_key(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", doc)
     assert cli.dispatch(["dispersion", "--config", str(path)]) == 1
     assert "master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", sorted(cli._SCHEMAS))
+def test_schema_is_valid_under_its_metaschema(sub):
+    """dispatch validates with a validator built once, which skips the
+    metaschema check that jsonschema.validate makes on every call: it is
+    made here instead."""
+    schema = cli._SCHEMAS[sub]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_violation_reports_what_validate_raises(tmp_path, capsys):
+    """The prebuilt validator picks the same error as jsonschema.validate."""
+    for doc in ({**dispersion_doc(tmp_path), "M": 1},
+                {**dispersion_doc(tmp_path), "decay": {"t_min": 1.0}, "bogus": 2}):
+        with pytest.raises(jsonschema.ValidationError) as raised:
+            jsonschema.validate(doc, cli._SCHEMAS["dispersion"])
+        path = write_config(tmp_path, "c.json", doc)
+        assert cli.dispatch(["dispersion", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config schema violation at {list(raised.value.absolute_path)}: "
+            f"{raised.value.message}\n")
 
 
 def test_validate_only_runs_nothing(tmp_path, capsys):
