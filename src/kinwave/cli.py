@@ -3,10 +3,12 @@
 Every subcommand follows the same protocol: the config document is validated
 against a strict schema (unknown keys rejected) before any compute, all
 randomness derives from the single master seed in the config, and every
-artifact embeds the (tool version, config hash, master seed) triple.  Exit
-codes: 0 success, 1 configuration problem, 2 runtime failure.  The only
-environment variable consulted is KINWAVE_OUTPUT_DIR, which overrides the
-config's output directory without entering the config hash.
+artifact embeds the (tool version, config hash, master seed) triple that
+dispatch computes once per run; compare's is run_study's, over the study's
+canonical form StudyConfig.to_obj().  Exit codes: 0 success, 1 configuration
+problem, 2 runtime failure.  The only environment variable consulted is
+KINWAVE_OUTPUT_DIR, which overrides the config's output directory without
+entering the config hash.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .initial import initial_from_obj
 from .kinetic import (
     build_collision_table,
     characteristic_function,
-    pair_rate,
+    detailed_balance_residual,
     sample_initial,
     simulate,
 )
@@ -39,15 +41,6 @@ from .wigner import Observable, initial_wavefunction
 
 OUTPUT_DIR_ENV = "KINWAVE_OUTPUT_DIR"
 
-
-def _hashable(doc: dict) -> dict:
-    """Config document without output routing: where artifacts land is not
-    part of the computation's identity, and the environment may move it."""
-    return {k: v for k, v in doc.items() if k != "output_dir"}
-
-_SUBCOMMANDS = (
-    "dispersion", "kernel", "simulate", "boltzmann", "compare", "cumulants", "crossing",
-)
 
 # --------------------------------------------------------------------------
 # schemas
@@ -245,10 +238,10 @@ _SCHEMAS = {
 
 
 # --------------------------------------------------------------------------
-# subcommand pipelines;  dry=True stops after domain validation
+# subcommand pipelines;  dry=True stops after domain validation;  meta: the triple
 
 
-def _cmd_dispersion(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_dispersion(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     c = io.couplings_from_obj(doc["couplings"])
     if dry:
         return
@@ -269,7 +262,7 @@ def _cmd_dispersion(doc: dict, out_dir: Path, dry: bool) -> None:
             }
             for cp in criticals
         ],
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     }
     if "decay" in doc:
         window = doc["decay"]
@@ -280,39 +273,36 @@ def _cmd_dispersion(doc: dict, out_dir: Path, dry: bool) -> None:
     io.write_json(out_dir / "dispersion.json", payload)
 
 
-def _cmd_kernel(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_kernel(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     c = io.couplings_from_obj(doc["couplings"])
     if dry:
         return
     grid = build_dispersion(c, doc["M"])
     table = build_collision_table(grid, beta=doc.get("beta"),
                                   xi2=doc.get("xi2", 1.0))
-    short = io.config_hash(_hashable(doc))[:12]
-    io.save_collision_table(out_dir / f"table_{short}.npz", table, config_obj=_hashable(doc))
+    short = meta["config_hash"][:12]
+    io.save_collision_table(out_dir / f"table_{short}.npz", table, meta)
     # detailed balance on random pairs: omega^2-weighted symmetry of the rate
     n_pairs = doc.get("balance_pairs", 1000)
     rng = np.random.default_rng((doc["master_seed"], 404))
     ii = rng.integers(0, grid.n_points, size=n_pairs)
     jj = rng.integers(0, grid.n_points, size=n_pairs)
-    w = grid.omega_flat
-    fwd = w[ii] ** 2 * pair_rate(table, ii, jj)
-    bwd = w[jj] ** 2 * pair_rate(table, jj, ii)
-    balance = float(np.max(np.abs(fwd - bwd) / np.maximum(np.abs(fwd), 1e-300)))
+    balance = detailed_balance_residual(table, ii, jj)
     io.write_json(out_dir / "kernel.json", {
         "M": doc["M"],
         "beta": table.beta,
         "xi2": table.xi2,
         "sigma_min": table.sigma_min,
         "sigma_max": table.sigma_max,
-        "sigma_bound": 2.0 * grid.omega_max**2 * table.xi2 / table.beta,
+        "sigma_bound": table.sigma_bound,
         "balance_pairs": n_pairs,
         "balance_max_rel": balance,
         "table": f"table_{short}.npz",
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     })
 
 
-def _cmd_simulate(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_simulate(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     c = io.couplings_from_obj(doc["couplings"])
     initial = initial_from_obj(doc["initial"])
     L, eps = doc["L"], doc["eps"]
@@ -328,23 +318,22 @@ def _cmd_simulate(doc: dict, out_dir: Path, dry: bool) -> None:
     e0 = energy(state, disorder, eps, c)
     for i, (t_prev, t_next) in enumerate(zip(times, times[1:]), start=1):
         state = evolve(state, disorder, eps, c, t_next - t_prev, doc.get("dt"))
-        io.save_state(out_dir / f"state_{i:04d}.bin", state, eps, float(t_next),
-                      doc["master_seed"], config_obj=_hashable(doc))
+        io.save_state(out_dir / f"state_{i:04d}.bin", state, eps, float(t_next), meta)
         e_t = energy(state, disorder, eps, c)
         norm = wavefunction_norm_squared(to_wavefunction(state, disorder, eps, c))
         rows.append((f"energy_t{t_next:g}", e_t, 0.0))
         rows.append((f"norm_sq_t{t_next:g}", norm, 0.0))
     rows.append(("energy_rel_drift", abs(e_t - e0) / e0 if e0 else 0.0, 0.0))
     io.write_diagnostics_csv(out_dir / "simulate_diagnostics.csv", rows,
-                             io.config_hash(_hashable(doc)))
+                             meta["config_hash"])
     io.write_json(out_dir / "simulate.json", {
         "L": L, "eps": eps, "t_final": doc["t_final"], "snapshots": n_snap,
         "energy_initial": e0, "energy_final": e_t,
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     })
 
 
-def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     c = io.couplings_from_obj(doc["couplings"])
     initial = initial_from_obj(doc["initial"])
     observables = (tuple(Observable.from_obj(o) for o in doc["observables"])
@@ -367,28 +356,20 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool) -> None:
         "counts_mean": float(counts.mean()),
         "beta": table.beta,
         "xi2": table.xi2,
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     })
 
 
-def _cmd_compare(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_compare(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     cfg = StudyConfig.from_obj(doc)
     if dry:
-        # a full run validates inside run_convergence, before it writes anything
+        # a full run validates inside run_study, before it writes anything
         cfg.validate(build_dispersion(cfg.couplings, cfg.M).max_group_speed)
         return
-    report, transport = run_study(cfg, out_dir=out_dir, resume=doc.get("resume", True))
-    io.write_json(out_dir / "summary.json", {
-        "err": {str(eps): e for eps, e in zip(cfg.epsilons, report.err)},
-        "monotone": report.monotone,
-        "final_err": report.final_err,
-        "bound_ok": report.bound_ok,
-        "transport": transport.to_obj(),
-        **io.artifact_metadata(_hashable(doc), cfg.master_seed),
-    })
+    run_study(cfg, out_dir=out_dir, resume=doc.get("resume", True))
 
 
-def _cmd_cumulants(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_cumulants(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     distribution = doc["distribution"]
     n_max = doc.get("n_max", 10)
     patterns = doc.get("patterns", [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2]])
@@ -404,7 +385,7 @@ def _cmd_cumulants(doc: dict, out_dir: Path, dry: bool) -> None:
         label = "moment_z_" + "".join(str(x) for x in pattern)
         rows.append((label, chk.z_score, chk.mc_stderr))
     io.write_diagnostics_csv(out_dir / "moment_checks.csv", rows,
-                             io.config_hash(_hashable(doc)))
+                             meta["config_hash"])
     io.write_json(out_dir / "cumulants.json", {
         "distribution": distribution,
         "cumulants": [
@@ -412,11 +393,11 @@ def _cmd_cumulants(doc: dict, out_dir: Path, dry: bool) -> None:
             for n in range(1, n_max + 1)
         ],
         "bound_ok": [[n, ok] for n, ok in bound],
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     })
 
 
-def _cmd_crossing(doc: dict, out_dir: Path, dry: bool) -> None:
+def _cmd_crossing(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
     c = io.couplings_from_obj(doc["couplings"])
     if dry:
         return
@@ -440,7 +421,7 @@ def _cmd_crossing(doc: dict, out_dir: Path, dry: bool) -> None:
         "betas": list(betas),
         "exponent": exponent,
         "exponent_stderr": exp_se,
-        **io.artifact_metadata(_hashable(doc), doc["master_seed"]),
+        **meta,
     })
 
 
@@ -472,12 +453,12 @@ def dispatch(argv) -> int:
     argv = list(argv)
     if not argv or argv[0] in ("-h", "--help"):
         print("usage: kinwave SUBCOMMAND --config FILE [--validate-only]\n"
-              "subcommands: " + ", ".join(_SUBCOMMANDS))
+              "subcommands: " + ", ".join(_RUNNERS))
         return 0
     sub = argv[0]
     if sub not in _RUNNERS:
         print(f"unknown subcommand {sub!r}; expected one of: "
-              + ", ".join(_SUBCOMMANDS), file=sys.stderr)
+              + ", ".join(_RUNNERS), file=sys.stderr)
         return 1
     parser = argparse.ArgumentParser(prog=f"kinwave {sub}", add_help=True)
     parser.add_argument("--config", required=True, help="path to the JSON config")
@@ -505,9 +486,12 @@ def dispatch(argv) -> int:
 
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or doc.get("output_dir", "."))
     try:
+        # where artifacts land is not part of the computation's identity
+        meta = io.artifact_metadata({k: v for k, v in doc.items() if k != "output_dir"},
+                                    doc["master_seed"])
         if not args.validate_only:
             out_dir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[sub](doc, out_dir, args.validate_only)
+        _RUNNERS[sub](doc, out_dir, args.validate_only, meta)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

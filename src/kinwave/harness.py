@@ -14,11 +14,11 @@ limiting transport description on a shrinking-epsilon ladder:
 
 run_study runs the two ladder experiments of one StudyConfig in order, the
 transport ladder on the convergence study's Boltzmann reference; it is the
-one way the package runs them.  Both ladders share one set of disorder
-draws: each realization of a rung propagates, in one stacked recurrence and
-exactly to t_bar/eps (no time step), the rescaled state, measured for
-F(p, n) and the wave norm, and the state started from the substitution
-data, measured for the energy pairing.
+one way the package runs them, and the one writer of a study directory.
+Both ladders share one set of disorder draws: each realization of a rung
+propagates, in one stacked recurrence and exactly to t_bar/eps (no time
+step), the rescaled state, measured for F(p, n) and the wave norm, and the
+state started from the substitution data, measured for the energy pairing.
 
 The convergence experiment tests a limit with no attached rate, so acceptance
 is monotone decrease along the ladder plus a final-rung ceiling.  Each stage
@@ -39,6 +39,7 @@ import numbers
 import time as _time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from . import io
 from .dispersion import (
     TWO_PI,
     Couplings,
+    DispersionGrid,
     build_dispersion,
     couplings_nn,
     decay_exponent,
@@ -58,9 +60,9 @@ from .kinetic import (
     build_collision_table,
     characteristic_function,
     default_beta,
+    detailed_balance_residual,
     dyson_characteristic,
     k_simplex,
-    pair_rate,
     sample_initial,
     sample_jump,
     simulate,
@@ -317,8 +319,6 @@ def _complexes(pairs) -> list[complex]:
 
 @dataclass
 class ConvergenceReport:
-    config_hash: str
-    master_seed: int
     observables: tuple[Observable, ...]
     # the Boltzmann reference as _boltzmann_reference returns it
     reference: dict
@@ -440,19 +440,9 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
     )
 
 
-def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
-                    resume: bool = True) -> ConvergenceReport:
-    """Run the ladder study; with out_dir set, persist and resume per stage."""
-    grid = build_dispersion(cfg.couplings, cfg.M)
-    cfg.validate(grid.max_group_speed)
-    obj = cfg.to_obj()
-    meta = io.artifact_metadata(obj, cfg.master_seed)
-    base = None
-    if out_dir is not None:
-        base = Path(out_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        io.write_json(base / "study.json", {"config": obj, **meta})
-
+def run_convergence(cfg: StudyConfig, grid: DispersionGrid, meta: dict,
+                    base: Path | None = None, resume: bool = True) -> ConvergenceReport:
+    """The ladder study of a validated cfg; with base set, stages persist there under meta."""
     # the table, and the sampler envelope cached on it, lives only inside this
     # stage, so it is freed before the lattice rungs run
     ref = _stage(base, "reference", meta, resume, lambda: _boltzmann_reference(
@@ -465,22 +455,7 @@ def run_convergence(cfg: StudyConfig, out_dir: str | Path | None = None,
         for i in range(len(cfg.epsilons))
     ]
 
-    report = ConvergenceReport(
-        config_hash=meta["config_hash"],
-        master_seed=cfg.master_seed,
-        observables=cfg.observables,
-        reference=ref,
-        rungs=rungs,
-    )
-    if base is not None:
-        io.write_json(base / "report.json", {**report.to_obj(), **meta})
-        io.write_estimates_csv(base / "reference.csv", cfg.observables, ref_means,
-                               ref["se_re"], ref["se_im"], cfg.particles)
-        for rung in rungs:
-            io.write_estimates_csv(base / f"estimates_eps_{rung.eps}.csv",
-                                   cfg.observables, rung.means, rung.se_re,
-                                   rung.se_im, rung.count)
-    return report
+    return ConvergenceReport(observables=cfg.observables, reference=ref, rungs=rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +646,7 @@ class TransportReport:
         return asdict(self)
 
 
-def energy_transport_check(
-    cfg: StudyConfig,
-    report: ConvergenceReport,
-    out_dir: str | Path | None = None,
-) -> TransportReport:
+def energy_transport_check(cfg: StudyConfig, report: ConvergenceReport) -> TransportReport:
     """Energy-density pairing versus the transport position marginal of the
     study report's Boltzmann reference.
 
@@ -683,17 +654,8 @@ def energy_transport_check(
     measured on the substitution ("direct") initial data: each realization
     starts from the disorder-free (q0, v0), which is the conversion whose
     initial error the square-root bound controls, in the disorder draw of
-    the rung's convergence realization.  With out_dir set, each rung's
-    pairing estimate is also written to transport_<i>_<hash12>.json.
+    the rung's convergence realization.
     """
-    if out_dir is not None:
-        meta = io.artifact_metadata(cfg.to_obj(), cfg.master_seed)
-        base = Path(out_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        for i, r in enumerate(report.rungs):
-            io.write_json(base / f"transport_{i}_{meta['config_hash'][:12]}.json", {
-                "eps": r.eps, "L": r.L, "pairing_t_mean": r.pairing_t_mean,
-                "pairing_t_se": r.pairing_t_se, "count": r.count, **meta})
     ref_t = report.reference["pairing_t"]
     micro_t = [r.pairing_t_mean for r in report.rungs]
     micro_se = [r.pairing_t_se for r in report.rungs]
@@ -728,10 +690,42 @@ def energy_transport_check(
 def run_study(cfg: StudyConfig, out_dir: str | Path | None = None,
               resume: bool = True) -> tuple[ConvergenceReport, TransportReport]:
     """The convergence ladder, whose rungs also measure the energy pairings
-    of the substitution data, then the transport report on its reference;
-    with out_dir set, the rungs persist and resume per stage there."""
-    report = run_convergence(cfg, out_dir=out_dir, resume=resume)
-    return report, energy_transport_check(cfg, report, out_dir=out_dir)
+    of the substitution data, then the transport report on its reference.
+
+    cfg is validated before anything is written.  With out_dir set, run_study
+    writes study.json, the stages (read back with resume), report.json, the
+    estimate CSVs, transport_<i>_<hash12>.json and summary.json there, each
+    JSON file under the one triple computed here."""
+    grid = build_dispersion(cfg.couplings, cfg.M)
+    cfg.validate(grid.max_group_speed)
+    obj = cfg.to_obj()
+    meta = io.artifact_metadata(obj, cfg.master_seed)
+    base = Path(out_dir) if out_dir is not None else None
+    if base is not None:
+        io.write_json(base / "study.json", {"config": obj, **meta})
+    report = run_convergence(cfg, grid, meta, base, resume)
+    transport = energy_transport_check(cfg, report)
+    if base is not None:
+        io.write_json(base / "report.json", {**report.to_obj(), **meta})
+        ref = report.reference
+        io.write_estimates_csv(base / "reference.csv", cfg.observables,
+                               _complexes(ref["means"]), ref["se_re"], ref["se_im"],
+                               cfg.particles)
+        for i, r in enumerate(report.rungs):
+            io.write_estimates_csv(base / f"estimates_eps_{r.eps}.csv", cfg.observables,
+                                   r.means, r.se_re, r.se_im, r.count)
+            io.write_json(base / f"transport_{i}_{meta['config_hash'][:12]}.json", {
+                "eps": r.eps, "L": r.L, "pairing_t_mean": r.pairing_t_mean,
+                "pairing_t_se": r.pairing_t_se, "count": r.count, **meta})
+        io.write_json(base / "summary.json", {
+            "err": {str(eps): e for eps, e in zip(cfg.epsilons, report.err)},
+            "monotone": report.monotone,
+            "final_err": report.final_err,
+            "bound_ok": report.bound_ok,
+            "transport": transport.to_obj(),
+            **meta,
+        })
+    return report, transport
 
 
 # ---------------------------------------------------------------------------
@@ -897,14 +891,22 @@ def criterion_3() -> CriterionResult:
                             "window": [3.7, 4.3]})
 
 
+@lru_cache(maxsize=1)
+def _nn_grid_48() -> DispersionGrid:
+    """Criteria 4-6's shared couplings_nn(1.0) grid at M = 48: built once, read-only."""
+    grid = build_dispersion(couplings_nn(1.0), 48)
+    for array in (grid.omega, grid.omega_flat, grid.grad, grid.grad_flat, *grid.levels):
+        array.flags.writeable = False
+    return grid
+
+
 def criterion_4() -> CriterionResult:
     """Dispersion diagnostics: band edges, critical points, stationary decay."""
-    c = couplings_nn(1.0)
-    grid = build_dispersion(c, 48)
+    grid = _nn_grid_48()
     edges_exact = grid.omega_min == 1.0 and grid.omega_max == np.sqrt(13.0)
     crits = find_critical_points(grid)
     nondeg = len(crits) == 8 and all(not p.degenerate for p in crits)
-    fit = decay_exponent(build_dispersion(c, 64), 1.0, t_min=5.0, t_max=50.0)
+    fit = decay_exponent(build_dispersion(grid.couplings, 64), 1.0, t_min=5.0, t_max=50.0)
     slope_ok = -1.7 <= fit.slope <= -1.3
     passed = edges_exact and nondeg and slope_ok
     return CriterionResult(4, "dispersion diagnostics", passed,
@@ -916,17 +918,13 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Detailed balance of the broadened kernel and the rate ceiling."""
-    c = couplings_nn(1.0)
-    grid = build_dispersion(c, 48)
+    grid = _nn_grid_48()
     table = build_collision_table(grid, beta=0.06, xi2=1.0)
     rng = np.random.default_rng(17)
     ki = rng.integers(0, grid.n_points, size=1000)
     kj = rng.integers(0, grid.n_points, size=1000)
-    w = grid.omega_flat
-    lhs = w[ki] ** 2 * pair_rate(table, ki, kj)
-    rhs = w[kj] ** 2 * pair_rate(table, kj, ki)
-    balance = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)))
-    ceiling = 2.0 * grid.omega_max**2 / table.beta
+    balance = detailed_balance_residual(table, ki, kj)
+    ceiling = table.sigma_bound
     sigma_ok = bool(table.sigma_max <= ceiling * (1.0 + 1e-12))
     passed = balance <= 1e-12 and sigma_ok
     return CriterionResult(5, "kernel detailed balance", passed,
@@ -936,8 +934,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Gate function real part recovers half the collision rate; root-beta decay."""
-    c = couplings_nn(1.0)
-    grid = build_dispersion(c, 48)
+    grid = _nn_grid_48()
     beta = 0.05
     table = build_collision_table(grid, beta=beta, xi2=1.0)
     rng = np.random.default_rng(23)
@@ -962,14 +959,18 @@ def criterion_6() -> CriterionResult:
 
 
 def _chi_square(observed, expected) -> tuple[float, float]:
-    """Pearson's statistic sum (O - E)^2 / E over the cells and its p-value,
-    the chi-square survival function on cells - 1 degrees of freedom."""
-    import scipy.special    # deferred: about 0.3 s to import, used only here
-
+    """Pearson's statistic x = sum (O - E)^2 / E > 0 over the cells and its
+    p-value, the chi-square survival function on k = cells - 1 degrees of
+    freedom: with h = x/2, e^-h sum h^a / Gamma(a + 1) over a = 0, 1, .. < k/2
+    (even k), or erfc(sqrt h) plus that sum over a = 1/2, 3/2, .. < k/2 (odd k),
+    each term formed from its logarithm so that none underflows."""
     obs = np.asarray(observed, dtype=np.float64)
     exp = np.asarray(expected, dtype=np.float64)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    return chi2, float(scipy.special.chdtrc(exp.size - 1, chi2))
+    k, h = exp.size - 1, chi2 / 2.0
+    terms = [math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+             for a in (j + k % 2 / 2 for j in range(k // 2))]
+    return chi2, math.fsum([math.erfc(math.sqrt(h)) if k % 2 else 0.0, *terms])
 
 
 def criterion_7() -> CriterionResult:

@@ -1,10 +1,11 @@
 """Artifact persistence: config hashing, binary snapshots, CSV/JSON reports.
 
-Every artifact written here embeds the same reproducibility triple: tool
-version, config hash, master seed.  Hashes are SHA-256 over a canonical JSON
-encoding (sorted keys, no whitespace), so two configs hash equal iff their
-JSON documents are equal up to key order.  Numeric tables go to CSV with
-mandatory headers, UTF-8 and '.' decimals; everything structured goes to JSON.
+Each entry point builds its run's reproducibility triple (tool version,
+config hash, master seed) once with artifact_metadata and hands it to every
+writer.  Hashes are SHA-256 over a canonical JSON encoding (sorted keys, no
+whitespace), so two configs hash equal iff their JSON documents are equal up
+to key order.  Numeric tables go to CSV with mandatory headers, UTF-8 and
+'.' decimals; everything structured goes to JSON.
 Every writer fills a temporary file beside its target and renames it into
 place, so an interrupted write never leaves a truncated artifact behind.
 """
@@ -77,7 +78,7 @@ def config_hash(obj: Any) -> str:
 
 
 def artifact_metadata(config_obj: Any, master_seed: int) -> dict:
-    """The triple every artifact embeds."""
+    """The triple every artifact of a run embeds, computed once per run."""
     return {
         "tool_version": TOOL_VERSION,
         "config_hash": config_hash(config_obj),
@@ -113,13 +114,13 @@ def save_state(
     state: LatticeState,
     epsilon: float,
     time: float,
-    seed: int,
-    config_obj: Any = None,
+    meta: dict,
 ) -> Path:
-    """Flat binary container (header + little-endian f8 q then v) + JSON sidecar."""
+    """Flat binary container (header + little-endian f8 q then v) + JSON sidecar, under meta."""
     path = Path(path)
     L = state.q.shape[0]
-    header = _SNAP_HEADER.pack(_SNAP_MAGIC, L, float(epsilon), float(time), int(seed))
+    seed = meta["master_seed"]
+    header = _SNAP_HEADER.pack(_SNAP_MAGIC, L, float(epsilon), float(time), seed)
     with _atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(state.q, dtype="<f8").tobytes())
@@ -128,8 +129,8 @@ def save_state(
         "L": L,
         "epsilon": float(epsilon),
         "time": float(time),
-        "seed": int(seed),
-        **artifact_metadata(config_obj, seed),
+        "seed": seed,
+        **meta,
     }
     write_json(path.with_name(path.name + ".json"), sidecar)
     return path
@@ -154,8 +155,8 @@ def load_state(path: str | Path) -> tuple[LatticeState, dict]:
     return LatticeState(q=q, v=v), header
 
 
-def save_collision_table(path: str | Path, table: CollisionTable, config_obj: Any = None) -> Path:
-    """Write a rate table; the dispersion grid is rebuilt from couplings on load."""
+def save_collision_table(path: str | Path, table: CollisionTable, meta: dict) -> Path:
+    """Write a rate table under the run's triple meta; the grid is rebuilt on load."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -166,7 +167,7 @@ def save_collision_table(path: str | Path, table: CollisionTable, config_obj: An
         "M": table.grid.M,
         "beta": table.beta,
         "xi2": table.xi2,
-        **artifact_metadata(config_obj, 0),
+        **meta,
     }
     with _atomic_open(path, "wb") as fh:
         np.savez_compressed(

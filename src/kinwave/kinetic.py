@@ -40,6 +40,7 @@ __all__ = [
     "default_beta",
     "build_collision_table",
     "pair_rate",
+    "detailed_balance_residual",
     "sample_jump",
     "sample_initial",
     "simulate",
@@ -79,6 +80,11 @@ class CollisionTable:
     @property
     def sigma_max(self) -> float:
         return float(self.sigma.max())
+
+    @property
+    def sigma_bound(self) -> float:
+        """The analytic ceiling 2 omega_max^2 xi2 / beta of the total rate."""
+        return 2.0 * self.grid.omega_max**2 * self.xi2 / self.beta
 
     @cached_property
     def shell_envelope(self) -> "ShellEnvelope":
@@ -177,13 +183,13 @@ def build_collision_table(
         axis = grid.omega_min + step * np.arange(nb)
         sigma = scale * np.interp(w, axis, nodes).reshape(grid.omega.shape)
 
-    bound = 2.0 * grid.omega_max**2 * xi2 / beta
-    if sigma.min() <= 0.0 or sigma.max() > bound:
+    table = CollisionTable(grid=grid, beta=float(beta), xi2=float(xi2), sigma=sigma)
+    if table.sigma_min <= 0.0 or table.sigma_max > table.sigma_bound:
         raise RuntimeError(
-            f"total rate left its analytic window (0, {bound:.3g}]: "
-            f"[{sigma.min():.3g}, {sigma.max():.3g}]"
+            f"total rate left its analytic window (0, {table.sigma_bound:.3g}]: "
+            f"[{table.sigma_min:.3g}, {table.sigma_max:.3g}]"
         )
-    return CollisionTable(grid=grid, beta=float(beta), xi2=float(xi2), sigma=sigma)
+    return table
 
 
 def _linear_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,6 +206,14 @@ def pair_rate(table: CollisionTable, k_idx, kp_idx) -> np.ndarray:
     wk = w[np.asarray(k_idx)]
     wp = w[np.asarray(kp_idx)]
     return 2.0 * table.xi2 * table.beta * wp**2 / ((wk - wp) ** 2 + table.beta**2)
+
+
+def detailed_balance_residual(table: CollisionTable, ki, kj) -> float:
+    """max over the pairs of |w_i^2 R(i,j) - w_j^2 R(j,i)| / max(|w_i^2 R(i,j)|, 1e-300)."""
+    w = table.grid.omega_flat
+    fwd = w[ki] ** 2 * pair_rate(table, ki, kj)
+    bwd = w[kj] ** 2 * pair_rate(table, kj, ki)
+    return float(np.max(np.abs(fwd - bwd) / np.maximum(np.abs(fwd), 1e-300)))
 
 
 def sample_jump(

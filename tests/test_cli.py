@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -114,7 +115,7 @@ def test_domain_error_is_a_config_error(tmp_path, capsys):
 
 
 def test_runtime_error_exits_two(tmp_path, capsys, monkeypatch):
-    def boom(doc, out_dir, dry):
+    def boom(doc, out_dir, dry, meta):
         raise SamplingError("acceptance rate collapsed")
 
     monkeypatch.setitem(cli._RUNNERS, "dispersion", boom)
@@ -360,3 +361,89 @@ def test_compare_schema_covers_the_study_fields():
 
     accepted = set(cli._SCHEMAS["compare"]["properties"]) - {"output_dir", "resume"}
     assert accepted == {f.name for f in fields(StudyConfig)} - set(COMPARE_EXCLUDED)
+
+
+def _masked_artifacts(out):
+    """Every file of a run directory by name, bytes as written except each
+    rung's wall time, the one value that differs between identical runs."""
+    return {path.name: re.sub(rb'"elapsed": [-+.0-9eE]+', b'"elapsed": 0', path.read_bytes())
+            for path in sorted(out.iterdir())}
+
+
+def test_every_compare_artifact_carries_the_study_triple(tmp_path):
+    """One compare run writes one triple: every JSON artifact, summary.json
+    included, carries the hash of the study's canonical form."""
+    from kinwave.harness import StudyConfig
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    triple = io.artifact_metadata(StudyConfig.from_obj(SMALL_COMPARE).to_obj(),
+                                  SMALL_COMPARE["master_seed"])
+    artifacts = sorted(out.glob("*.json"))
+    assert "summary.json" in [a.name for a in artifacts]
+    for artifact in artifacts:
+        payload = io.read_json(artifact)
+        assert {k: payload[k] for k in triple} == triple, artifact.name
+
+
+@pytest.mark.parametrize("extra", [{"resume": True}, {"workers": 1}])
+def test_resume_and_workers_change_no_compare_artifact(tmp_path, extra):
+    """resume and workers do not enter the study's identity: adding either
+    at its default value changes no byte of any artifact but the wall times."""
+    runs = {}
+    for name, doc in (("plain", SMALL_COMPARE), ("extra", {**SMALL_COMPARE, **extra})):
+        out = tmp_path / name
+        path = write_config(tmp_path, f"{name}.json", {**doc, "output_dir": str(out)})
+        assert cli.dispatch(["compare", "--config", str(path)]) == 0
+        runs[name] = _masked_artifacts(out)
+    assert runs["plain"] == runs["extra"]
+
+
+def test_kernel_table_and_snapshots_carry_the_run_triple(tmp_path):
+    """The collision table of a kernel run and the snapshot sidecars of a
+    simulate run carry the triple of the run's JSON summary, the config's
+    master seed included."""
+    kernel = {"couplings": NN_COUPLINGS, "M": 8, "beta": 0.5, "balance_pairs": 10,
+              "master_seed": 41, "output_dir": str(tmp_path / "k")}
+    assert cli.dispatch(["kernel", "--config",
+                         str(write_config(tmp_path, "k.json", kernel))]) == 0
+    summary = io.read_json(tmp_path / "k" / "kernel.json")
+    triple = {k: summary[k] for k in ("tool_version", "config_hash", "master_seed")}
+    assert triple["master_seed"] == 41
+    with np.load(tmp_path / "k" / summary["table"]) as pack:
+        meta = json.loads(bytes(pack["meta"]).decode("utf-8"))
+    assert {k: meta[k] for k in triple} == triple
+
+    simulate = {"couplings": NN_COUPLINGS, "L": 8, "eps": 0.25,
+                "distribution": "rademacher",
+                "initial": {"type": "point",
+                            "amplitudes": [{"offset": [0, 0, 0], "re": 1.0}]},
+                "t_final": 0.5, "snapshots": 2, "master_seed": 43,
+                "output_dir": str(tmp_path / "s")}
+    assert cli.dispatch(["simulate", "--config",
+                         str(write_config(tmp_path, "s.json", simulate))]) == 0
+    summary = io.read_json(tmp_path / "s" / "simulate.json")
+    triple = {k: summary[k] for k in ("tool_version", "config_hash", "master_seed")}
+    sidecars = sorted((tmp_path / "s").glob("state_*.bin.json"))
+    assert len(sidecars) == 2
+    for sidecar in sidecars:
+        side = io.read_json(sidecar)
+        assert {k: side[k] for k in triple} == triple
+        assert side["seed"] == 43
+
+
+def test_acceptance_study_dir_is_what_compare_writes(tmp_path, monkeypatch):
+    """run_acceptance's study/ holds the files a compare of the same config
+    writes, byte for byte but the wall times."""
+    from kinwave import harness
+
+    out = tmp_path / "compare"
+    path = write_config(tmp_path, "c.json", {**SMALL_COMPARE, "output_dir": str(out)})
+    assert cli.dispatch(["compare", "--config", str(path)]) == 0
+    stubs = {cid: (lambda *cfg, cid=cid: harness.CriterionResult(cid, "stub", True, {}))
+             for cid in range(1, 12)}
+    monkeypatch.setattr(harness, "CRITERION_RUNNERS", stubs)
+    harness.run_acceptance(out_dir=tmp_path / "accept",
+                           cfg=harness.StudyConfig.from_obj(SMALL_COMPARE))
+    assert _masked_artifacts(tmp_path / "accept" / "study") == _masked_artifacts(out)

@@ -207,6 +207,29 @@ def test_criterion_7_p_values_match_scipy_chisquare(monkeypatch):
     assert result.detail["p_values"] == [p for *_, (_, p) in calls]
 
 
+def test_criteria_4_to_6_share_one_read_only_grid(monkeypatch):
+    """Criteria 4, 5 and 6 build their M = 48 grid once per process; every
+    array of the shared grid, its flat views and levels included, is
+    read-only, so no criterion can change what the next one reads."""
+    builds = []
+
+    def counting(c, M):
+        builds.append(M)
+        return build_dispersion(c, M)
+
+    harness._nn_grid_48.cache_clear()
+    monkeypatch.setattr(harness, "build_dispersion", counting)
+    try:
+        for criterion in (harness.criterion_4, harness.criterion_5, harness.criterion_6):
+            assert criterion().passed
+        grid = harness._nn_grid_48()
+    finally:
+        harness._nn_grid_48.cache_clear()
+    assert builds.count(48) == 1
+    arrays = (grid.omega, grid.omega_flat, grid.grad, grid.grad_flat, *grid.levels)
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def test_criterion_result_line():
     r = CriterionResult(3, "something quantitative", True, {})
     assert r.line() == "criterion  3 [PASS] something quantitative"

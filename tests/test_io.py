@@ -45,17 +45,17 @@ def test_state_roundtrip(tmp_path):
     state = LatticeState(q=rng.normal(size=(6, 6, 6)),
                          v=rng.normal(size=(6, 6, 6)))
     path = tmp_path / "snap.bin"
-    io.save_state(path, state, 0.25, 1.5, 99, config_obj={"seed": 99})
+    meta = io.artifact_metadata({"seed": 99}, 99)
+    io.save_state(path, state, 0.25, 1.5, meta)
     back, meta = io.load_state(path)
     np.testing.assert_array_equal(back.q, state.q)
     np.testing.assert_array_equal(back.v, state.v)
     assert meta["epsilon"] == 0.25
     assert meta["time"] == 1.5
     assert meta["seed"] == 99
-    # sidecar carries the artifact triple
+    # sidecar carries the artifact triple it was handed
     side = io.read_json(path.with_name(path.name + ".json"))
-    assert side["master_seed"] == 99
-    assert "config_hash" in side and "tool_version" in side
+    assert {k: side[k] for k in meta} == meta
 
 
 def test_state_rejects_corrupt_header(tmp_path):
@@ -69,7 +69,7 @@ def test_collision_table_roundtrip(tmp_path):
     grid = build_dispersion(couplings_nn(1.0), 8)
     table = build_collision_table(grid, beta=0.4, xi2=0.5)
     path = tmp_path / "table.npz"
-    io.save_collision_table(path, table, config_obj={"M": 8})
+    io.save_collision_table(path, table, io.artifact_metadata({"M": 8}, 5))
     back = io.load_collision_table(path, io.config_hash({"M": 8}))
     np.testing.assert_array_equal(back.sigma, table.sigma)
     assert back.beta == table.beta
@@ -84,7 +84,8 @@ def test_collision_table_with_extra_members_loads(tmp_path):
     report) still load: the reader takes sigma and meta only."""
     grid = build_dispersion(couplings_nn(1.0), 8)
     table = build_collision_table(grid, beta=0.4, xi2=0.5)
-    path = io.save_collision_table(tmp_path / "table.npz", table, config_obj={"M": 8})
+    path = io.save_collision_table(tmp_path / "table.npz", table,
+                                   io.artifact_metadata({"M": 8}, 5))
     with np.load(path) as pack:
         members = {name: pack[name] for name in pack.files}
     np.savez_compressed(path, **members, max_neighbor_diff=np.float64(0.1))

@@ -4,9 +4,12 @@ and modules reach each other only through public names."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kinwave
 
@@ -86,12 +89,31 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
 
 
 def test_criteria_7_and_9_run_without_scipy_stats_or_integrate():
-    """Criterion 7 takes its p-values from scipy.special and criterion 9
-    checks against a closed form, so neither loads the slow-to-import
-    statistics or quadrature packages."""
+    """Criterion 7 takes its p-values from the closed-form chi-square
+    survival function and criterion 9 checks against a closed form, so
+    neither loads any scipy module: scipy is a test dependency only."""
     statements = ("from kinwave.harness import criterion_7, criterion_9; "
                   "assert criterion_7().passed and criterion_9().passed")
-    assert _modules_loaded_after(statements, ["scipy.stats", "scipy.integrate"]) == "[]"
+    assert _modules_loaded_after(statements, ["scipy"]) == "[]"
+
+
+def test_runtime_dependencies_match_imports():
+    """The third-party packages that src/kinwave imports, at module level or
+    inside a function, are exactly pyproject.toml's [project].dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "kinwave"}
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+                for spec in project["project"]["dependencies"]}
+    assert third_party == declared
 
 
 def test_every_traced_function_resolves():
@@ -110,10 +132,12 @@ def test_every_traced_function_resolves():
 
 def test_every_subcommand_reads_each_key_it_accepts():
     """A key that a subcommand's schema accepts but its handler never reads
-    would be silently ignored: each schema property other than output_dir
-    appears as a string constant in that subcommand's _cmd_<name> handler.
-    compare hands its document to StudyConfig, whose fields
-    test_compare_schema_covers_the_study_fields checks."""
+    would be silently ignored: each schema property other than the shared
+    keys, which dispatch reads for every subcommand (master_seed enters the
+    triple, output_dir routes the artifacts), appears as a string constant in
+    that subcommand's _cmd_<name> handler.  compare hands its document to
+    StudyConfig, whose fields test_compare_schema_covers_the_study_fields
+    checks."""
     from kinwave import cli
 
     handlers = {node.name: node for node in _modules()["cli"].body
@@ -125,7 +149,7 @@ def test_every_subcommand_reads_each_key_it_accepts():
         read = {node.value for node in ast.walk(handlers[f"_cmd_{sub}"])
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         ignored += [f"{sub}.{key}" for key in schema["properties"]
-                    if key != "output_dir" and key not in read]
+                    if key not in cli._COMMON and key not in read]
     assert ignored == []
 
 
