@@ -361,6 +361,7 @@ def _cmd_boltzmann(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
 
 
 def _cmd_compare(doc: dict, out_dir: Path, dry: bool, meta: dict) -> None:
+    del meta  # compare's triple is run_study's, over StudyConfig.to_obj(), not the raw doc
     cfg = StudyConfig.from_obj(doc)
     if dry:
         # a full run validates inside run_study, before it writes anything

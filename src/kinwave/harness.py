@@ -108,7 +108,6 @@ __all__ = [
     "gaussian_bump",
     "mean_inverse_mass_sq",
     "substitution_gap_exact",
-    "run_convergence",
     "free_flight_check",
     "energy_transport_check",
     "run_study",
@@ -442,7 +441,7 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
 
 def run_convergence(cfg: StudyConfig, grid: DispersionGrid, meta: dict,
                     base: Path | None = None, resume: bool = True) -> ConvergenceReport:
-    """The ladder study of a validated cfg; with base set, stages persist there under meta."""
+    """run_study's own ladder stage, named for the benchmark trace; stages persist in base."""
     # the table, and the sampler envelope cached on it, lives only inside this
     # stage, so it is freed before the lattice rungs run
     ref = _stage(base, "reference", meta, resume, lambda: _boltzmann_reference(

@@ -47,14 +47,15 @@ def test_state_roundtrip(tmp_path):
     path = tmp_path / "snap.bin"
     meta = io.artifact_metadata({"seed": 99}, 99)
     io.save_state(path, state, 0.25, 1.5, meta)
-    back, meta = io.load_state(path)
+    back, header = io.load_state(path)
     np.testing.assert_array_equal(back.q, state.q)
     np.testing.assert_array_equal(back.v, state.v)
-    assert meta["epsilon"] == 0.25
-    assert meta["time"] == 1.5
-    assert meta["seed"] == 99
+    assert header["epsilon"] == 0.25
+    assert header["time"] == 1.5
+    assert header["seed"] == 99
     # sidecar carries the artifact triple it was handed
     side = io.read_json(path.with_name(path.name + ".json"))
+    assert set(meta) == {"tool_version", "config_hash", "master_seed"}
     assert {k: side[k] for k in meta} == meta
 
 

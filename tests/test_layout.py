@@ -132,16 +132,17 @@ def test_every_traced_function_resolves():
 
 def test_every_subcommand_reads_each_key_it_accepts():
     """A key that a subcommand's schema accepts but its handler never reads
-    would be silently ignored: each schema property other than the shared
-    keys, which dispatch reads for every subcommand (master_seed enters the
-    triple, output_dir routes the artifacts), appears as a string constant in
-    that subcommand's _cmd_<name> handler.  compare hands its document to
-    StudyConfig, whose fields test_compare_schema_covers_the_study_fields
-    checks."""
+    would be silently ignored: each schema property appears as a string
+    constant in that subcommand's _cmd_<name> handler.  Exempt are the keys
+    that dispatch alone reads: output_dir, which routes the artifacts, and
+    dispersion's master_seed, which draws nothing and enters only the triple.
+    compare hands its document to StudyConfig, whose fields
+    test_compare_schema_covers_the_study_fields checks."""
     from kinwave import cli
 
     handlers = {node.name: node for node in _modules()["cli"].body
                 if isinstance(node, ast.FunctionDef)}
+    exempt = {f"{sub}.output_dir" for sub in cli._SCHEMAS} | {"dispersion.master_seed"}
     ignored = []
     for sub, schema in cli._SCHEMAS.items():
         if sub == "compare":
@@ -149,7 +150,7 @@ def test_every_subcommand_reads_each_key_it_accepts():
         read = {node.value for node in ast.walk(handlers[f"_cmd_{sub}"])
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         ignored += [f"{sub}.{key}" for key in schema["properties"]
-                    if key not in cli._COMMON and key not in read]
+                    if f"{sub}.{key}" not in exempt and key not in read]
     assert ignored == []
 
 
