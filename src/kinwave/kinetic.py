@@ -9,14 +9,16 @@ the total rate sigma(k) is its grid average over k'.  Detailed balance
 omega(k)^2 R(k, k') = omega(k')^2 R(k', k) is an algebraic identity of this
 kernel.  R depends on k and k' only through omega(k) and omega(k'), so the
 jump law is sampled exactly by rejection against a bound that is constant on
-pairs of omega shells (see ShellEnvelope).  Two solvers consume the same
+pairs of omega shells, with the proposal shell drawn by guide-table lookup
+in O(1) expected steps (see ShellEnvelope).  Two solvers consume the same
 table: a jump-process simulator (free flight at group velocity
 grad omega / 2 pi, exponential waiting times, shell-envelope jumps) and a
 truncated collision-expansion evaluator whose m-th term integrates the same
 jump chain over the time simplex.  Initial packet positions are exact
-Gaussian draws.  The module also carries the spectral transport machinery:
-the gate function whose real diagonal part recovers sigma/2, and the simplex
-kernels K_N.
+Gaussian draws, and every particle carries the same weight, so both
+solvers' jackknife standard errors take a closed form.  The module also
+carries the spectral transport machinery: the gate function whose real
+diagonal part recovers sigma/2, and the simplex kernels K_N.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class ShellEnvelope:
     order[start[b] : start[b] + count[b]], and cap[a, b] >= u on shell a x
     shell b.  row_cdf holds, for each source shell a, the cumulative law of
     the proposal shell b (probability proportional to count[b] * cap[a, b]),
-    offset by a so that all rows search as one sorted array.
+    offset by a so that all rows form one sorted array, closed by +inf.
+
+    The inversion of a row is a guide-table lookup (Chen & Asau 1974;
+    Devroye 1986, section III.2.4): guide[a, g] is the first position of
+    row_cdf above a + g/G, for G buckets per row, G the power of two at or
+    above 2B.  locate starts each query at its bucket's entry and steps
+    forward, in O(1) expected steps.
     """
 
     shell_of: np.ndarray   # (n,) shell of each flat grid index
@@ -111,7 +119,8 @@ class ShellEnvelope:
     start: np.ndarray      # (B,) first position of each shell in order
     count: np.ndarray      # (B,) members per shell, all >= 1
     cap: np.ndarray        # (B, B) bound on u over shell a x shell b
-    row_cdf: np.ndarray    # (B * B,) a + cumulative proposal law of row a
+    row_cdf: np.ndarray    # (B * B + 1,) a + cumulative proposal law of row a; +inf
+    guide: np.ndarray      # (B, G) int32 first row_cdf position above a + g/G
 
     @staticmethod
     def build(grid: DispersionGrid, beta: float) -> "ShellEnvelope":
@@ -139,9 +148,33 @@ class ShellEnvelope:
         cdf = np.cumsum(count * cap, axis=1)
         cdf /= cdf[:, -1:]
         cdf[:, -1] = 1.0
-        row_cdf = (cdf + np.arange(count.size)[:, None]).reshape(-1)
+        shells = np.arange(count.size)
+        row_cdf = np.append((cdf + shells[:, None]).reshape(-1), np.inf)
+
+        # G is a power of two, so floor(u G) / G <= u holds exactly for every
+        # float u, and rounding is monotone: a + floor(u G) / G never exceeds
+        # a + u, and the bucket's entry never lies past the answer
+        n_buckets = 1 << (2 * count.size - 1).bit_length()
+        edge = shells[:, None] + np.arange(n_buckets) / n_buckets
+        guide = np.searchsorted(row_cdf, edge, side="right").astype(np.int32)
         return ShellEnvelope(shell_of=shell_of, order=order, start=start,
-                             count=count, cap=cap, row_cdf=row_cdf)
+                             count=count, cap=cap, row_cdf=row_cdf, guide=guide)
+
+    def locate(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """np.searchsorted(row_cdf, a + u, side="right") for source shells a
+        and uniforms u in [0, 1), by guide-table lookup: start at the entry of
+        u's bucket in row a and step forward while row_cdf[pos] <= a + u.
+        The +inf that closes row_cdf stops every scan."""
+        x = a + u
+        n_buckets = self.guide.shape[1]
+        bucket = a * n_buckets
+        bucket += (u * n_buckets).astype(np.int64)
+        pos = self.guide.reshape(-1)[bucket]
+        ahead = np.flatnonzero(self.row_cdf[pos] <= x)
+        while ahead.size:
+            pos[ahead] += 1
+            ahead = ahead[self.row_cdf[pos[ahead]] <= x[ahead]]
+        return pos
 
 
 def build_collision_table(
@@ -224,7 +257,9 @@ def sample_jump(
 
     Exact rejection sampling against the table's shell envelope: each
     proposal draws a shell b with probability proportional to
-    count[b] * cap[a(k), b], then a member of b uniformly (rng.integers, one
+    count[b] * cap[a(k), b], by inverting row a(k) of row_cdf at one uniform
+    through the envelope's guide table (ShellEnvelope.locate, equal to the
+    binary search bitwise), then a member of b uniformly (rng.integers, one
     draw per proposal), and accepts with probability u(k, k') / cap[a(k), b].
     Aborts when the running acceptance rate degenerates below 1e-4.
     """
@@ -242,8 +277,9 @@ def sample_jump(
     while active.size:
         m = active.size
         a = src[active]
-        pos = np.searchsorted(env.row_cdf, a + rng.random(m), side="right")
-        b = np.minimum(pos - a * n_shells, n_shells - 1)
+        b = env.locate(a, rng.random(m))
+        b -= a * n_shells
+        np.minimum(b, n_shells - 1, out=b)
         prop = env.order[env.start[b] + rng.integers(0, env.count[b])]
         wp = w[prop]
         u = wp**2 / ((wk[active] - wp) ** 2 + beta2)
@@ -346,20 +382,28 @@ def simulate(
 
 
 def _jackknife(weights: np.ndarray, z: np.ndarray) -> tuple[complex, float, float]:
-    """Leave-one-out error of the reweighted sum F = (sum w z) * W/(W - w_i)."""
+    """Leave-one-out error of the reweighted sum F = (sum w z) * W/(W - w_i),
+    for uniform weights w = W/n.  The leave-one-out values are then
+    w n/(n - 1) (n zbar - z_i), affine in z_i, so the jackknife variance
+    (n - 1)/n sum_i (F_i - mean F_i)^2 takes the closed form
+
+        w^2 n/(n - 1) sum_i (z_i - zbar)^2
+
+    for the real and the imaginary part alike."""
     n = z.size
-    total_w = weights.sum()
-    total = np.sum(weights * z)
-    loo = (total - weights * z) * (total_w / (total_w - weights))
-    center = loo.mean()
-    fac = (n - 1) / n
-    var_re = fac * np.sum((loo.real - center.real) ** 2)
-    var_im = fac * np.sum((loo.imag - center.imag) ** 2)
-    return complex(total), float(np.sqrt(var_re)), float(np.sqrt(var_im))
+    scale = float(weights[0]) * math.sqrt(n / (n - 1))
+    se = []
+    for part in (z.real, z.imag):
+        dev = part - part.mean()
+        se.append(scale * math.sqrt(float(np.dot(dev, dev))))
+    return complex(np.sum(weights * z)), se[0], se[1]
 
 
 def _estimates(weights: np.ndarray, columns) -> Estimates:
-    """One jackknife per observable, over its per-particle phase column."""
+    """One jackknife per observable, over its per-particle phase column.
+    The weights must be uniform, as sample_initial draws them."""
+    if weights.size < 2 or np.any(weights != weights[0]):
+        raise ConfigError("the jackknife needs at least two particles of equal weight")
     stats = [_jackknife(weights, z) for z in columns]
     return Estimates(
         mean=np.array([s[0] for s in stats], dtype=np.complex128),
@@ -579,11 +623,15 @@ def dyson_characteristic(
             r = np.full((n_mc, 1), t_bar)
         else:
             prefac = prefac * sig[m - 1]
-            u = np.sort(rng.random((n_mc, m)), axis=1)
-            bounds = np.concatenate(
-                [np.zeros((n_mc, 1)), u, np.ones((n_mc, 1))], axis=1
-            )
-            r = np.diff(bounds, axis=1) * t_bar
+            # spacings of the sorted uniforms, 0 and 1 included: the flight
+            # times of a uniform point of the time simplex
+            u = rng.random((n_mc, m))
+            u.sort(axis=1)
+            r = np.empty((n_mc, m + 1))
+            r[:, 0] = u[:, 0]
+            np.subtract(u[:, 1:], u[:, :-1], out=r[:, 1:m])
+            np.subtract(1.0, u[:, -1], out=r[:, m])
+            r *= t_bar
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
         if m == q:
             lead = float(np.sum(ens.weights * prefac * decay)) * t_bar**q / math.factorial(q)

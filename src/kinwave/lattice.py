@@ -621,8 +621,12 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
     """Semiclassical wave data psi_+(y) = eps^(3/2) h(eps y) exp(i S(eps y)/eps).
 
     envelope and phase are callables on macroscopic positions, taking an array
-    of shape (..., 3).  Warns when more than 1% of the envelope mass falls
-    outside the re-centred box (the packet is then not tight in the box).
+    of shape (..., 3).  Entries below 1e-150 of max |psi| are set to zero: a
+    Gaussian tail that underflows into subnormals slows every later pass over
+    the field, while 150 decades below the peak it is far under the rounding
+    of anything the bulk contributes.  Warns when more than 1% of the
+    envelope mass falls outside the re-centred box (the packet is then not
+    tight in the box).
     """
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
@@ -630,6 +634,8 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
     h = np.asarray(envelope(x), dtype=np.float64)
     s = np.asarray(phase(x), dtype=np.float64)
     psi = eps**1.5 * h * np.exp(1j * s / eps)
+    size = np.abs(psi)
+    psi[size < 1e-150 * size.max()] = 0.0
 
     outside = envelope_mass_outside(L, eps, envelope)
     if outside > 0.01:

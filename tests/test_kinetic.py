@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kinwave.dispersion import TWO_PI, build_dispersion, couplings_nn
 from kinwave.errors import ConfigError
 from kinwave.harness import DEFAULT_OBSERVABLES, DEFAULT_STUDY
 from kinwave.initial import PointSource, WKBPacket
-from kinwave.kinetic import _linear_convolution
+from kinwave.kinetic import _MAX_SHELLS, ShellEnvelope, _linear_convolution
 from kinwave.kinetic import (
     build_collision_table,
     characteristic_function,
@@ -201,6 +202,67 @@ def test_jump_acceptance_at_the_study_packet():
     assert n / rng.proposals >= 0.5
 
 
+def _uniform_band(n_shells):
+    """A stand-in grid whose energies are evenly spread over [1, 3.6], enough
+    of them that every one of n_shells equal-width shells is occupied."""
+    return types.SimpleNamespace(omega_flat=np.linspace(1.0, 3.6, 8 * n_shells),
+                                 omega_min=1.0, omega_max=3.6)
+
+
+@pytest.mark.parametrize("table", ["study", "max_shells"])
+def test_guided_inversion_matches_the_binary_search(table):
+    """ShellEnvelope.locate returns np.searchsorted(row_cdf, a + u, "right")
+    bitwise: on 1e6 random (a, u), at every bucket edge u = g/G and at both
+    float neighbours of each edge, and at the largest u below 1, for the
+    study table and for one with _MAX_SHELLS shells."""
+    if table == "study":
+        grid = build_dispersion(DEFAULT_STUDY.couplings, DEFAULT_STUDY.M)
+        env = ShellEnvelope.build(grid, DEFAULT_STUDY.beta)
+        assert env.count.size == 174
+    else:
+        env = ShellEnvelope.build(_uniform_band(_MAX_SHELLS), 1e-3)
+        assert env.count.size == _MAX_SHELLS
+    n_shells, n_buckets = env.guide.shape
+    assert n_buckets >= 2 * n_shells
+
+    rng = np.random.default_rng(n_shells)
+    queries = [(rng.integers(0, n_shells, 1_000_000), rng.random(1_000_000))]
+    edges = np.arange(n_buckets) / n_buckets
+    for u in (edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+              np.array([np.nextafter(1.0, 0.0)])):
+        queries.append((np.repeat(np.arange(n_shells), u.size), np.tile(u, n_shells)))
+    for a, u in queries:
+        ref = np.searchsorted(env.row_cdf, a + u, side="right")
+        np.testing.assert_array_equal(env.locate(a, u), ref)
+
+
+def test_the_guide_is_built_once_per_envelope(monkeypatch):
+    """The first draw builds the envelope and its guide; later draws reuse
+    them and run no binary search."""
+    builds = []
+    build = ShellEnvelope.build
+
+    def counting(grid, beta):
+        builds.append(beta)
+        return build(grid, beta)
+
+    monkeypatch.setattr(ShellEnvelope, "build", staticmethod(counting))
+    table = build_collision_table(GRID, beta=0.3)
+    k = np.full(2000, GRID.index_of(np.array([0.25, 0.0, 0.0])))
+    rng = np.random.default_rng(12)
+    sample_jump(table, k, rng)
+    guide = table.shell_envelope.guide
+
+    def refused(*args, **kwargs):
+        raise AssertionError("sample_jump ran a binary search")
+
+    monkeypatch.setattr(np, "searchsorted", refused)
+    for _ in range(3):
+        sample_jump(table, k, rng)
+    assert builds == [0.3]
+    assert table.shell_envelope.guide is guide
+
+
 def test_packet_positions_are_gaussian():
     """|h(x)|^2 ~ exp(-|x|^2 / sigma^2): N(0, sigma^2 / 2) on each axis."""
     n = 20000
@@ -250,6 +312,44 @@ def test_characteristic_function_mass_channel():
     est = characteristic_function(ens, [ZERO])
     assert est.mean[0] == pytest.approx(PACKET.mass, rel=1e-12)
     assert est.stderr_re[0] < 1e-12
+
+
+def _loo_jackknife(weights, z):
+    """Reference: the explicit leave-one-out loop, one reweighted sum
+    (sum_{j != i} w_j z_j) * W / (W - w_i) per left-out particle i."""
+    n = z.size
+    total_w = weights.sum()
+    loo = np.array([np.sum(np.delete(weights * z, i)) * total_w / (total_w - weights[i])
+                    for i in range(n)])
+    dev = loo - loo.mean()
+    fac = (n - 1) / n
+    return (np.sum(weights * z), math.sqrt(fac * np.sum(dev.real**2)),
+            math.sqrt(fac * np.sum(dev.imag**2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+def test_jackknife_closed_form_matches_the_leave_one_out_loop(n):
+    rng = np.random.default_rng(n)
+    weights = np.full(n, 0.7 / n)
+    z = 0.3 + np.exp(1j * rng.uniform(0.0, TWO_PI, n)) * rng.uniform(0.0, 1.0, n)
+    mean, se_re, se_im = kinetic._jackknife(weights, z)
+    ref_mean, ref_re, ref_im = _loo_jackknife(weights, z)
+    assert mean == ref_mean
+    assert se_re == pytest.approx(ref_re, rel=1e-12)
+    assert se_im == pytest.approx(ref_im, rel=1e-12)
+
+
+def test_jackknife_of_a_constant_column_is_zero_and_weights_must_be_uniform():
+    rng = np.random.default_rng(8)
+    ens = sample_initial(PACKET, 3000, TABLE, rng)
+    est = characteristic_function(ens, [ZERO])
+    assert est.stderr_re[0] == 0.0 and est.stderr_im[0] == 0.0
+    ens.weights[0] *= 2.0
+    with pytest.raises(ConfigError):
+        characteristic_function(ens, [ZERO])
+    single = sample_initial(PACKET, 1, TABLE, rng)
+    with pytest.raises(ConfigError):
+        characteristic_function(single, [ZERO])
 
 
 def test_k_simplex_level_one_and_two():

@@ -351,6 +351,35 @@ def test_wkb_state_mass_and_scaling():
     assert packet.mass == pytest.approx((np.sqrt(np.pi) * 0.5) ** 3)
 
 
+def test_wkb_state_cuts_the_underflowing_tail():
+    """At sigma = 1/4 on L = 32, eps = 1/2 the Gaussian tail underflows into
+    subnormals.  wkb_state zeroes every entry below 1e-150 of max |psi|: no
+    subnormal is left, and propagate returns the same states bitwise as
+    from the uncut data."""
+    packet = WKBPacket(k0=(0.125, 0.0, 0.0), sigma=0.25)
+    L, eps = 32, 0.5
+    x = macro_grid(L, eps)
+    uncut = eps**1.5 * packet.envelope(x) * np.exp(1j * packet.phase(x) / eps)
+    cut = wkb_state(L, eps, packet.envelope, packet.phase)
+
+    def subnormal(psi):
+        parts = np.stack([psi.real, psi.imag])
+        return int(np.sum((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+    assert subnormal(uncut) > 0 and subnormal(cut) == 0
+    small = np.abs(uncut) < 1e-150 * np.abs(uncut).max()
+    assert np.all(cut[small] == 0.0)
+    np.testing.assert_array_equal(cut[~small], uncut[~small])
+    d = sample_disorder(L, "rademacher", seed=3)
+    outs = []
+    for psi in (uncut, cut):
+        state = from_wavefunction(psi, C)
+        outs.append(propagate(state.q, [state.v], d, eps, C, 1.0))
+    for a, b in zip(*outs):
+        np.testing.assert_array_equal(a.q, b.q)
+        np.testing.assert_array_equal(a.v, b.v)
+
+
 def test_wkb_state_warns_when_packet_leaks():
     packet = WKBPacket(k0=(0.0, 0.0, 0.0), sigma=4.0)
     with pytest.warns(UserWarning, match="outside the box"):
