@@ -441,6 +441,13 @@ _RUNNERS = {
 # dispatch
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, +-Infinity and overflows such as 1e400 are refused."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _validator(sub: str):
     """The schema validator of a subcommand, built at its first use.  The
@@ -475,8 +482,9 @@ def dispatch(argv) -> int:
         print(f"config file not found: {path}", file=sys.stderr)
         return 1
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         print(f"malformed config {path}: {exc}", file=sys.stderr)
         return 1
     error = jsonschema.exceptions.best_match(_validator(sub).iter_errors(doc))

@@ -5,13 +5,14 @@ Its symbol alpha_hat(k) = sum_y alpha(y) exp(-i 2 pi k.y) lives on the unit
 torus; the dispersion relation is omega(k) = sqrt(alpha_hat(k)), which is well
 defined when the symbol is strictly positive.  Everything downstream (wave
 dynamics, collision kernels, transport coefficients) consumes either the
-closed-form evaluators on arbitrary k or the periodic grid built here.
+closed-form evaluators on arbitrary k or the one cached, read-only periodic
+grid per (couplings, M) that build_dispersion tabulates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -163,9 +164,27 @@ class EnergyLevels(NamedTuple):
     inverse: np.ndarray    # (M^3,) level index of each flat grid point
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _offset_phases(c: Couplings, M: int):
+    """(y, alpha(y), 2 pi k.y on the grid k = m/M) for each coupling offset y.
+    The phase separates along axes, so k.y costs three 1-D outer sums."""
+    axis = np.arange(M, dtype=np.float64) / M
+    for y, v in zip(c.offsets.astype(np.float64), c.values):
+        phase = (
+            axis[:, None, None] * y[0] + axis[None, :, None] * y[1] + axis[None, None, :] * y[2]
+        ) * TWO_PI
+        yield y, v, phase
+
+
 @dataclass(frozen=True)
 class DispersionGrid:
-    """omega and its analytic gradient on the periodic grid k = m/M, m in {0..M-1}^3.
+    """omega on the periodic grid k = m/M, m in {0..M-1}^3: one read-only
+    instance per (couplings, M), shared by the lattice box (M = L) and the
+    transport side.  The gradient is formed at its first use.
 
     A grid sum of a function of omega alone runs over the distinct energies
     in levels, each weighted by its count: the lattice symmetries make them
@@ -176,7 +195,6 @@ class DispersionGrid:
     couplings: Couplings
     M: int
     omega: np.ndarray = field(repr=False)       # (M, M, M)
-    grad: np.ndarray = field(repr=False)        # (M, M, M, 3), grad alpha_hat / (2 omega)
     omega_min: float
     omega_max: float
 
@@ -190,7 +208,18 @@ class DispersionGrid:
         sum over levels differs from the grid sum only in summation order."""
         omega, inverse, counts = np.unique(
             self.omega_flat, return_inverse=True, return_counts=True)
-        return EnergyLevels(omega=omega, counts=counts, inverse=inverse)
+        return EnergyLevels(*map(_read_only, (omega, counts, inverse)))
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """(M, M, M, 3) grad omega = grad alpha_hat / (2 omega)."""
+        grad = np.zeros(self.omega.shape + (3,))
+        for y, v, phase in _offset_phases(self.couplings, self.M):
+            s = np.sin(phase)
+            for i in range(3):
+                grad[..., i] += -TWO_PI * v * y[i] * s
+        grad /= 2.0 * self.omega[..., None]
+        return _read_only(grad)
 
     @cached_property
     def grad_flat(self) -> np.ndarray:
@@ -217,42 +246,25 @@ class DispersionGrid:
         return float(np.max(np.linalg.norm(self.grad_flat, axis=1)))
 
 
+@lru_cache(maxsize=16)
 def build_dispersion(c: Couplings, M: int) -> DispersionGrid:
-    """Tabulate omega and grad omega on the M^3 torus grid.
+    """Tabulate omega on the M^3 torus grid, M >= 2, once per (couplings, M).
 
-    M must be even and at least 8 so the grid contains both k = 0 and the zone
-    corner (1/2, 1/2, 1/2).  A non-positive symbol anywhere on the grid is a
-    configuration error (the square root would degenerate).
+    A non-positive symbol anywhere on the grid is a configuration error (the
+    square root would degenerate).
     """
-    if M < 8 or M % 2 != 0:
-        raise ConfigError("grid resolution M must be even and >= 8")
-    axis = np.arange(M, dtype=np.float64) / M
-    offs = c.offsets.astype(np.float64)
-    vals = c.values
-
-    shape = (M, M, M)
-    alpha = np.zeros(shape)
-    grad_a = np.zeros(shape + (3,))
-    # Accumulate per offset; phases separate along axes so k.y costs three 1-D outer sums.
-    for (y1, y2, y3), v in zip(offs, vals):
-        phase = (
-            axis[:, None, None] * y1 + axis[None, :, None] * y2 + axis[None, None, :] * y3
-        ) * TWO_PI
+    if M < 2:
+        raise ConfigError("grid resolution M must be at least 2")
+    alpha = np.zeros((M, M, M))
+    for _, v, phase in _offset_phases(c, M):
         alpha += v * np.cos(phase)
-        s = np.sin(phase)
-        grad_a[..., 0] += -TWO_PI * v * y1 * s
-        grad_a[..., 1] += -TWO_PI * v * y2 * s
-        grad_a[..., 2] += -TWO_PI * v * y3 * s
-
     if np.any(alpha <= 0.0):
         raise ConfigError("symbol is not positive on the grid; dispersion undefined")
-    omega = np.sqrt(alpha)
-    grad = grad_a / (2.0 * omega[..., None])
+    omega = _read_only(np.sqrt(alpha, out=alpha))
     return DispersionGrid(
         couplings=c,
         M=M,
         omega=omega,
-        grad=grad,
         omega_min=float(omega.min()),
         omega_max=float(omega.max()),
     )
@@ -283,8 +295,11 @@ def find_critical_points(
     on grad omega (step capped at one grid spacing).  Refined points closer
     than one grid spacing are merged.  A point is flagged degenerate when the
     Hessian determinant magnitude falls below the refinement tolerance.
+    M must be even and at least 8, so the grid holds k = 0 and the zone corner.
     """
     M = g.M
+    if M < 8 or M % 2 != 0:
+        raise ConfigError("grid resolution M must be even and >= 8")
     h = 1.0 / M
     candidate = np.ones((M, M, M), dtype=bool)
     shifts = [

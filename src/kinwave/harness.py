@@ -39,7 +39,6 @@ import numbers
 import time as _time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +231,19 @@ class StudyConfig:
             raise ConfigError("observable set must include (0, 0)")
         if self.realizations < 2:
             raise ConfigError("need at least 2 realizations")
+        # what the stages or the solver crosscheck refuse later, refused
+        # here, before run_study writes anything
+        for refused, why in (
+                (self.t_bar < 0.0, "t_bar must be nonnegative"),
+                (self.particles < 2, "need at least 2 particles"),
+                (not 0.0 < self.beta <= 1.0, "beta must lie in (0, 1]"),
+                (min(self.xi2, self.crosscheck_xi2) <= 0.0,
+                 "xi2 and crosscheck_xi2 must be positive"),
+                (self.dyson_samples < 1_000, "need at least 1e3 dyson_samples"),
+                (not 0 <= self.m_max <= 64, "m_max must lie in [0, 64]"),
+                (self.workers < 1, "need at least 1 worker")):
+            if refused:
+                raise ConfigError(why)
         for eps, L in zip(self.epsilons, self.box_sizes):
             need = self.required_box(eps, max_group_speed)
             if L < need:
@@ -890,18 +902,9 @@ def criterion_3() -> CriterionResult:
                             "window": [3.7, 4.3]})
 
 
-@lru_cache(maxsize=1)
-def _nn_grid_48() -> DispersionGrid:
-    """Criteria 4-6's shared couplings_nn(1.0) grid at M = 48: built once, read-only."""
-    grid = build_dispersion(couplings_nn(1.0), 48)
-    for array in (grid.omega, grid.omega_flat, grid.grad, grid.grad_flat, *grid.levels):
-        array.flags.writeable = False
-    return grid
-
-
 def criterion_4() -> CriterionResult:
     """Dispersion diagnostics: band edges, critical points, stationary decay."""
-    grid = _nn_grid_48()
+    grid = build_dispersion(couplings_nn(1.0), 48)
     edges_exact = grid.omega_min == 1.0 and grid.omega_max == np.sqrt(13.0)
     crits = find_critical_points(grid)
     nondeg = len(crits) == 8 and all(not p.degenerate for p in crits)
@@ -917,7 +920,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Detailed balance of the broadened kernel and the rate ceiling."""
-    grid = _nn_grid_48()
+    grid = build_dispersion(couplings_nn(1.0), 48)
     table = build_collision_table(grid, beta=0.06, xi2=1.0)
     rng = np.random.default_rng(17)
     ki = rng.integers(0, grid.n_points, size=1000)
@@ -933,7 +936,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Gate function real part recovers half the collision rate; root-beta decay."""
-    grid = _nn_grid_48()
+    grid = build_dispersion(couplings_nn(1.0), 48)
     beta = 0.05
     table = build_collision_table(grid, beta=beta, xi2=1.0)
     rng = np.random.default_rng(23)

@@ -26,6 +26,8 @@ stencil plus three in-place passes; its cost grows with the number of
 offsets, and no Fourier transform enters either integrator.
 The complex wave variable psi_y = (Omega q + i (1+sqrt(eps) xi)^-1 v)_y / 2
 (Omega = Fourier multiplier by omega(k)) satisfies 2 sum |psi|^2 = energy.
+omega on the box grid k = m/L, its maximum and its levels are read from
+build_dispersion(c, L), the grid that the transport side shares.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import cheb_coeffs, cheb_nodes
-from .dispersion import Couplings
+from .dispersion import Couplings, build_dispersion
 from .errors import ConfigError, StabilityError
 
 __all__ = [
@@ -113,24 +115,6 @@ def macro_grid(L: int, eps: float) -> np.ndarray:
     x[..., 1] = s[:, None]
     x[..., 2] = s
     return x
-
-
-@lru_cache(maxsize=16)
-def _multipliers(c: Couplings, L: int):
-    """Dispersion and its rfft slice on the box grid k = m/L."""
-    axis = np.arange(L, dtype=np.float64) / L
-    k1, k2, k3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    kpts = np.stack([k1, k2, k3], axis=-1)
-    alpha = c.alpha_hat(kpts)
-    if np.any(alpha <= 0.0):
-        raise ConfigError("symbol not positive on the box grid")
-    omega = np.sqrt(alpha)
-    half = L // 2 + 1
-    return {
-        "omega": omega,
-        "omega_r": np.ascontiguousarray(omega[..., :half]),
-        "omega_max": float(omega.max()),
-    }
 
 
 def _flat_shift(offset, L: int) -> tuple:
@@ -327,8 +311,7 @@ def evolve(
     if t_final < 0.0:
         raise ConfigError("t_final must be nonnegative")
     L = state.L
-    mul = _multipliers(c, L)
-    omega_max_eff = mul["omega_max"] * (1.0 + np.sqrt(eps) * disorder.xi_bar)
+    omega_max_eff = build_dispersion(c, L).omega_max * (1.0 + np.sqrt(eps) * disorder.xi_bar)
     if dt is None:
         dt = 0.1 / omega_max_eff
     if dt <= 0.0:
@@ -480,7 +463,7 @@ def propagate(
     values abort.
     """
     check_mass_positivity(disorder.distribution, eps)
-    _multipliers(c, q0.shape[0])
+    build_dispersion(c, q0.shape[0])
     if t < 0.0:
         raise ConfigError("t must be nonnegative")
     if t == 0.0:
@@ -559,8 +542,9 @@ def to_wavefunction(
     the clean-lattice map (Omega q + i v) / 2, and eps is not read.  The minus
     component of a physical state is the complex conjugate and is never
     stored."""
-    mul = _multipliers(c, state.L)
-    om_q = np.fft.irfftn(mul["omega_r"] * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
+    L = state.L
+    omega_r = build_dispersion(c, L).omega[..., : L // 2 + 1]
+    om_q = np.fft.irfftn(omega_r * np.fft.rfftn(state.q), state.q.shape, axes=(0, 1, 2))
     if disorder is None:
         return 0.5 * (om_q + 1j * state.v)
     check_mass_positivity(disorder.distribution, eps)
@@ -580,9 +564,9 @@ def from_wavefunction(
     Without it, uses the clean-lattice map v = 2 Im psi, which deliberately
     drops the O(sqrt(eps)) mass correction (substituted initial data)."""
     L = psi_plus.shape[0]
-    mul = _multipliers(c, L)
+    omega_r = build_dispersion(c, L).omega[..., : L // 2 + 1]
     re2 = 2.0 * psi_plus.real
-    q = np.fft.irfftn(np.fft.rfftn(re2) / mul["omega_r"], psi_plus.shape, axes=(0, 1, 2))
+    q = np.fft.irfftn(np.fft.rfftn(re2) / omega_r, psi_plus.shape, axes=(0, 1, 2))
     v = 2.0 * psi_plus.imag
     if disorder is not None:
         v = (1.0 + np.sqrt(eps) * disorder.xi) * v
@@ -594,21 +578,13 @@ def wavefunction_norm_squared(psi_plus: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.abs(psi_plus) ** 2))
 
 
-@lru_cache(maxsize=16)
-def _box_levels(c: Couplings, L: int) -> tuple:
-    """Distinct values of the box-grid omega and the level index of each site."""
-    omega = _multipliers(c, L)["omega"]
-    levels, inverse = np.unique(omega, return_inverse=True)
-    return levels, inverse.reshape(omega.shape)
-
-
 def free_phase(c: Couplings, L: int, t: float) -> np.ndarray:
     """exp(-i omega(k) t) on the box grid k = m/L, in np.fft order: the factor
     by which the clean lattice advances each Fourier mode of psi_+ over a time
     t.  One exponential per distinct omega, gathered onto the grid, so the
     result equals the exponential taken site by site bitwise."""
-    levels, inverse = _box_levels(c, L)
-    return np.exp(-1j * t * levels)[inverse]
+    levels = build_dispersion(c, L).levels
+    return np.exp(-1j * t * levels.omega)[levels.inverse].reshape(L, L, L)
 
 
 def evolve_free_spectral(state: LatticeState, c: Couplings, t: float) -> LatticeState:

@@ -44,6 +44,37 @@ def test_malformed_config(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where", ["decay", "coupling"])
+@pytest.mark.parametrize("dry", [False, True])
+def test_non_finite_number_is_a_malformed_config(tmp_path, capsys, number, where, dry):
+    """json accepts NaN and +-Infinity and overflows 1e400 to infinity; a
+    config carrying any of them is malformed (exit 1) and writes nothing."""
+    out = tmp_path / "out"
+    doc = dispersion_doc(out)
+    if where == "decay":
+        doc["decay"] = {"t_min": 1.0, "t_max": "@"}
+    else:
+        doc["couplings"] = [*NN_COUPLINGS[:-2], {"offset": [0, 0, 1], "value": "@"},
+                            {"offset": [0, 0, -1], "value": "@"}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc).replace('"@"', number))
+    argv = ["dispersion", "--config", str(path)] + (["--validate-only"] if dry else [])
+    assert cli.dispatch(argv) == 1
+    assert f"non-finite number {number}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dispersion_refuses_an_odd_grid(tmp_path, capsys):
+    """The critical-point search needs the zone corner on the grid, so
+    dispersion at M = 7 is a config error that writes no artifact."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", {**dispersion_doc(out), "M": 7})
+    assert cli.dispatch(["dispersion", "--config", str(path)]) == 1
+    assert "even and >= 8" in capsys.readouterr().err
+    assert not (out / "dispersion.json").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     doc = dispersion_doc(tmp_path)
     doc["bogus"] = 1

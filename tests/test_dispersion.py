@@ -74,6 +74,33 @@ def test_critical_points_nn():
     assert omegas[-1] == pytest.approx(np.sqrt(13.0), abs=1e-9)
 
 
+def test_critical_points_need_an_even_grid_of_at_least_8():
+    """Only the critical-point search needs the zone corner on the grid: a
+    grid of any size M >= 2 builds, and the search refuses odd M and M < 8."""
+    c = couplings_nn(1.0)
+    for M in (5, 6, 7, 9):
+        with pytest.raises(ConfigError, match="even and >= 8"):
+            find_critical_points(build_dispersion(c, M))
+    with pytest.raises(ConfigError):
+        build_dispersion(c, 1)
+
+
+def test_cached_grid_is_one_read_only_instance():
+    """build_dispersion returns the same grid for the same (couplings, M);
+    every array it holds or forms is read-only, the gradient is formed only
+    when first read and agrees with the closed form."""
+    c = couplings_nn_squared(0.7)
+    build_dispersion.cache_clear()
+    g = build_dispersion(c, 6)
+    assert build_dispersion(c, 6) is g
+    assert build_dispersion.cache_info().misses == 1
+    assert "grad" not in vars(g)
+    arrays = (g.omega, g.omega_flat, *g.levels, g.grad, g.grad_flat)
+    assert not any(a.flags.writeable for a in arrays)
+    np.testing.assert_allclose(g.grad_flat, c.grad_omega(g.k_of(np.arange(g.n_points))),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_decay_exponent_guards():
     g = build_dispersion(couplings_nn(1.0), 8)
     with pytest.raises(ConfigError):

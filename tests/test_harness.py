@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_study_validation_errors():
         StudyConfig(**good, observables=(
             Observable(p=(0.5, 0.0, 0.0), n=(0, 0, 0)),)).validate(
             grid.max_group_speed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_bar", -0.1), ("particles", 1), ("beta", 2.0), ("xi2", 0.0),
+    ("crosscheck_xi2", -0.25), ("dyson_samples", 10), ("m_max", 65), ("workers", 0),
+])
+def test_validate_refuses_what_the_stages_refuse(tmp_path, field, value):
+    """A value that a later stage or the solver crosscheck would refuse is
+    refused by validate, so run_study writes nothing before refusing it."""
+    cfg = dataclasses.replace(DEFAULT_STUDY, **{field: value})
+    with pytest.raises(ConfigError):
+        cfg.validate(build_dispersion(C, 8).max_group_speed)
+    with pytest.raises(ConfigError):
+        harness.run_study(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_observable_set_has_the_anchor():
@@ -207,25 +223,24 @@ def test_criterion_7_p_values_match_scipy_chisquare(monkeypatch):
     assert result.detail["p_values"] == [p for *_, (_, p) in calls]
 
 
-def test_criteria_4_to_6_share_one_read_only_grid(monkeypatch):
-    """Criteria 4, 5 and 6 build their M = 48 grid once per process; every
-    array of the shared grid, its flat views and levels included, is
-    read-only, so no criterion can change what the next one reads."""
-    builds = []
-
-    def counting(c, M):
-        builds.append(M)
-        return build_dispersion(c, M)
-
-    harness._nn_grid_48.cache_clear()
-    monkeypatch.setattr(harness, "build_dispersion", counting)
-    try:
-        for criterion in (harness.criterion_4, harness.criterion_5, harness.criterion_6):
-            assert criterion().passed
-        grid = harness._nn_grid_48()
-    finally:
-        harness._nn_grid_48.cache_clear()
-    assert builds.count(48) == 1
+def test_criteria_4_to_6_share_one_read_only_grid():
+    """Criteria 4, 5 and 6, solver_crosscheck and run_study on one reduced
+    study build each (couplings, M) grid once: the M = 48 grid they share,
+    criterion 4's M = 64 decay grid and one box grid per box size.  Every
+    array of the shared grid, its flat views, levels and gradient included,
+    is read-only, so no caller can change what the next one reads."""
+    cfg = StudyConfig.from_obj({"epsilons": [0.5, 0.25], "box_sizes": [16, 20],
+                                "t_bar": 0.1, "realizations": 2, "M": 48,
+                                "particles": 2000, "dyson_samples": 1000,
+                                "master_seed": 7})
+    build_dispersion.cache_clear()
+    for criterion in (harness.criterion_4, harness.criterion_5, harness.criterion_6):
+        assert criterion().passed
+    harness.solver_crosscheck(cfg)
+    harness.run_study(cfg)
+    info = build_dispersion.cache_info()
+    assert info.misses == info.currsize == 4
+    grid = build_dispersion(C, 48)
     arrays = (grid.omega, grid.omega_flat, grid.grad, grid.grad_flat, *grid.levels)
     assert not any(a.flags.writeable for a in arrays)
 

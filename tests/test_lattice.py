@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinwave.dispersion import Couplings, couplings_nn, couplings_nn_squared
+from kinwave.dispersion import Couplings, build_dispersion, couplings_nn, couplings_nn_squared
 from kinwave.errors import ConfigError
 from kinwave.initial import PointSource, WKBPacket
 from kinwave.lattice import (
@@ -23,7 +23,7 @@ from kinwave.lattice import (
     wavefunction_norm_squared,
     wkb_state,
 )
-from kinwave.lattice import _convolve, _multipliers, _stencil
+from kinwave.lattice import _convolve, _stencil
 
 C = couplings_nn(1.0)
 
@@ -249,7 +249,7 @@ def test_propagate_matches_richardson_extrapolated_verlet(name):
     c, eps, t = COUPLING_SETS[name], 0.25, 3.0
     for L in (5, 8):
         state, d = disordered_state(c, L, eps)
-        dt = 0.1 / (_multipliers(c, L)["omega_max"] * (1.0 + np.sqrt(eps) * d.xi_bar))
+        dt = 0.1 / (build_dispersion(c, L).omega_max * (1.0 + np.sqrt(eps) * d.xi_bar))
         (got,) = propagate(state.q, [state.v], d, eps, c, t)
         coarse = evolve(state, d, eps, c, t, dt=dt / 8)
         fine = evolve(state, d, eps, c, t, dt=dt / 16)
@@ -427,8 +427,23 @@ def test_wkb_packet_validation():
     assert p.diameter == pytest.approx(9.0)
 
 
+def test_box_maps_read_one_cached_grid():
+    """to_wavefunction, from_wavefunction, free_phase and evolve at one box
+    size read the one grid that build_dispersion caches for it, and none of
+    them forms its gradient."""
+    L = 6
+    build_dispersion.cache_clear()
+    state = from_wavefunction(random_psi(L, 3), C)
+    to_wavefunction(state, None, 0.0, C)
+    free_phase(C, L, 0.5)
+    evolve(state, sample_disorder(L, "rademacher", seed=1), 0.25, C, 0.1)
+    info = build_dispersion.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert "grad" not in vars(build_dispersion(C, L))
+
+
 @pytest.mark.parametrize("c", [C, couplings_nn_squared(0.7)])
 def test_free_phase_is_the_sitewise_exponential(c):
     for L, t in ((8, 0.3), (16, 7.1), (32, 120.0)):
         np.testing.assert_array_equal(
-            free_phase(c, L, t), np.exp(-1j * t * _multipliers(c, L)["omega"]))
+            free_phase(c, L, t), np.exp(-1j * t * build_dispersion(c, L).omega))

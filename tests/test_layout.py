@@ -32,6 +32,18 @@ def test_two_pi_has_one_home():
     assert homes == ["dispersion"]
 
 
+def test_the_symbol_is_tabulated_in_one_module():
+    """omega on a grid comes from dispersion.build_dispersion alone: no other
+    module evaluates the symbol alpha_hat."""
+    readers = sorted(
+        name for name, tree in _modules().items() if name != "dispersion"
+        and any((isinstance(node, ast.Attribute) and node.attr == "alpha_hat")
+                or (isinstance(node, ast.Name) and node.id == "alpha_hat")
+                for node in ast.walk(tree))
+    )
+    assert readers == []
+
+
 def test_no_module_imports_another_modules_private_names():
     offenders = []
     for name, tree in _modules().items():
