@@ -1,8 +1,9 @@
 """Command-line entry point: one JSON config in, a directory of artifacts out.
 
 Every subcommand follows the same protocol: the config document is validated
-against a strict schema (unknown keys rejected) before any compute, all
-randomness derives from the single master seed in the config, and every
+against a strict schema (unknown keys rejected) before any compute, an
+integer key takes 16.0 as 16 (also in the config hash) and refuses 16.5, all
+randomness derives from the single master seed in [0, 2^63), and every
 artifact embeds the (tool version, config hash, master seed) triple that
 dispatch computes once per run; compare's is run_study's, over the study's
 canonical form StudyConfig.to_obj().  Exit codes: 0 success, 1 configuration
@@ -106,7 +107,7 @@ _OBSERVABLES = {
 }
 
 _COMMON = {
-    "master_seed": {"type": "integer"},
+    "master_seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
     "output_dir": {"type": "string"},
 }
 
@@ -223,7 +224,7 @@ _SCHEMAS = {
         "properties": {
             "couplings": _COUPLINGS,
             "alpha": _VEC3,
-            "signs": {"type": "array", "items": {"enum": [-1, 1]},
+            "signs": {"type": "array", "items": {"type": "integer", "enum": [-1, 1]},
                       "minItems": 3, "maxItems": 3},
             "u": _VEC3,
             "betas": {"type": "array", "minItems": 3,
@@ -448,6 +449,22 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integers(schema: dict, value):
+    """value with each number at an integer-typed place of schema as an int."""
+    for branch in schema.get("oneOf", ()):
+        if jsonschema.validators.validator_for(branch)(branch).is_valid(value):
+            schema = branch
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _integers(schema.get("properties", {}).get(k, {}), v)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        places = schema.get("prefixItems", []) + [schema.get("items", {})] * len(value)
+        return [_integers(s, v) for s, v in zip(places, value)]
+    return value
+
+
 @lru_cache(maxsize=None)
 def _validator(sub: str):
     """The schema validator of a subcommand, built at its first use.  The
@@ -492,6 +509,7 @@ def dispatch(argv) -> int:
         print(f"config schema violation at {list(error.absolute_path)}: "
               f"{error.message}", file=sys.stderr)
         return 1
+    doc = _integers(_SCHEMAS[sub], doc)
 
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or doc.get("output_dir", "."))
     try:

@@ -41,24 +41,32 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Couplings:
-    """Finite-range real couplings, stored as a canonical (offset, value) tuple.
+    """Finite-range real couplings alpha(y), identified by their table alone:
+    integer 3-offsets and float values, sorted, so equal tables are equal.
 
     The couplings must be symmetric, alpha(-y) = alpha(y): only then is the
     symbol real, and alpha_hat keeps just its cosine part.
     """
 
     entries: tuple[tuple[tuple[int, int, int], float], ...]
-    tag: str | None = None
 
     def __post_init__(self):
-        table = dict(self.entries)
+        table = {}
         for off, val in self.entries:
+            key = tuple(int(c) for c in off)
+            if key != tuple(off) or len(key) != 3 or key in table:
+                raise ConfigError(f"coupling offsets must be distinct integer 3-vectors, got {off}")
+            table[key] = float(val)
+        if not table:
+            raise ConfigError("coupling list is empty")
+        for off, val in table.items():
             mirror = tuple(-c for c in off)
             if table.get(mirror, 0.0) != val:
                 raise ConfigError(
                     f"couplings are not symmetric: alpha{off} = {val} but "
                     f"alpha{mirror} = {table.get(mirror, 0.0)}"
                 )
+        object.__setattr__(self, "entries", tuple(sorted(table.items())))
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -109,11 +117,6 @@ class Couplings:
         ) / (4.0 * w[..., None, None] ** 3)
 
 
-def _canonical(entries: dict[tuple[int, int, int], float], tag: str | None) -> Couplings:
-    items = tuple(sorted((tuple(int(c) for c in off), float(v)) for off, v in entries.items()))
-    return Couplings(entries=items, tag=tag)
-
-
 def couplings_nn(omega0: float) -> Couplings:
     """Nearest-neighbour couplings with pinning omega0 > 0.
 
@@ -128,7 +131,7 @@ def couplings_nn(omega0: float) -> Couplings:
             off = [0, 0, 0]
             off[axis] = sign
             entries[tuple(off)] = -1.0
-    return _canonical(entries, tag=f"nn:{omega0!r}")
+    return Couplings(tuple(entries.items()))
 
 
 def couplings_nn_squared(omega0: float) -> Couplings:
@@ -152,7 +155,7 @@ def couplings_nn_squared(omega0: float) -> Couplings:
                     off[ax1] = s1
                     off[ax2] = s2
                     entries[tuple(off)] = 2.0
-    return _canonical(entries, tag=f"nn2:{omega0!r}")
+    return Couplings(tuple(entries.items()))
 
 
 class EnergyLevels(NamedTuple):
@@ -285,9 +288,11 @@ def _torus_dist_inf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.minimum(d, 1.0 - d)))
 
 
-def find_critical_points(
-    g: DispersionGrid, refine_tolerance: float = 1e-10
-) -> list[CriticalPoint]:
+# Newton stops at |grad omega| below this; a smaller |det Hessian| is degenerate
+_REFINE_TOLERANCE = 1e-10
+
+
+def find_critical_points(g: DispersionGrid) -> list[CriticalPoint]:
     """Locate critical points of omega on the torus.
 
     Candidate cells are those whose eight corners show a sign change in every
@@ -323,7 +328,7 @@ def find_critical_points(
         for _ in range(60):
             grad = g.couplings.grad_omega(k)
             gnorm = float(np.linalg.norm(grad))
-            if gnorm <= refine_tolerance:
+            if gnorm <= _REFINE_TOLERANCE:
                 converged = True
                 break
             hess = g.couplings.hessian_omega(k)
@@ -360,7 +365,7 @@ def find_critical_points(
                 k=tuple(float(x) for x in k),
                 omega=float(g.couplings.omega(k)),
                 index=int(np.sum(eigs < 0.0)),
-                degenerate=bool(abs(np.linalg.det(hess)) < refine_tolerance),
+                degenerate=bool(abs(np.linalg.det(hess)) < _REFINE_TOLERANCE),
                 converged=conv,
                 grad_norm=gn,
             )

@@ -179,7 +179,6 @@ class StudyConfig:
         obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
         obj.update(
             couplings=io.couplings_to_obj(self.couplings),
-            couplings_tag=self.couplings.tag,
             epsilons=list(self.epsilons),
             box_sizes=list(self.box_sizes),
             initial=self.initial.to_obj(),
@@ -241,6 +240,7 @@ class StudyConfig:
                  "xi2 and crosscheck_xi2 must be positive"),
                 (self.dyson_samples < 1_000, "need at least 1e3 dyson_samples"),
                 (not 0 <= self.m_max <= 64, "m_max must lie in [0, 64]"),
+                (not 0 <= self.master_seed < 2**63, "master_seed must lie in [0, 2^63)"),
                 (self.workers < 1, "need at least 1 worker")):
             if refused:
                 raise ConfigError(why)
@@ -282,6 +282,9 @@ def _rng(master_seed: int, lane: int) -> np.random.Generator:
 _LANE_JUMP = 101
 _LANE_DYSON = 202
 _LANE_CROSSCHECK = 303
+
+FREE_FLIGHT_TOL = 0.05    # criterion 11: relative tolerance of each velocity comparison
+CROSSCHECK_Z_MAX = 3.0    # criterion 8: largest z-score at which the two solvers agree
 
 
 def _eps_seed(master_seed: int, rung_index: int) -> int:
@@ -482,15 +485,12 @@ class FreeFlightReport:
     velocities: list[list[float]]
     rel_errors: list[float]
     cross_eps_gap: float
-    critical_speed: float | None
+    critical_speed: float
 
-    def passed(self, tol: float = 0.05) -> bool:
-        ok = all(e <= tol for e in self.rel_errors) and self.cross_eps_gap <= tol
-        if self.critical_speed is not None:
-            ok = ok and self.critical_speed <= tol * float(
-                np.linalg.norm(self.target_velocity)
-            )
-        return ok
+    def passed(self) -> bool:
+        tol = FREE_FLIGHT_TOL
+        return (all(e <= tol for e in self.rel_errors) and self.cross_eps_gap <= tol
+                and self.critical_speed <= tol * float(np.linalg.norm(self.target_velocity)))
 
     def to_obj(self) -> dict:
         return asdict(self)
@@ -530,16 +530,7 @@ def _packet_velocity(c: Couplings, packet: WKBPacket, eps: float, L: int,
     return fit[1]
 
 
-def free_flight_check(
-    c: Couplings | None = None,
-    k0: tuple[float, float, float] = (0.125, 0.0, 0.0),
-    sigmas: tuple[float, ...] = (1.25, 0.9),
-    epsilons: tuple[float, ...] = (0.25, 0.125),
-    L: int = 64,
-    t_macro: float = 1.5,
-    n_samples: int = 4,
-    check_critical: bool = True,
-) -> FreeFlightReport:
+def free_flight_check() -> FreeFlightReport:
     """Clean-lattice packet transport versus the group velocity at the carrier.
 
     The centroid of a dispersing packet moves at the mean group velocity over
@@ -550,12 +541,11 @@ def free_flight_check(
 
     The clean evolution is exact in Fourier space: each packet is transformed
     once, each sample time costs one inverse transform, and the centroid is
-    taken from |psi(t)|^2 directly.
+    taken from |psi(t)|^2 directly.  At the zone corner, where omega peaks, it must not drift.
     """
-    if c is None:
-        c = couplings_nn(1.0)
-    if len(sigmas) != len(epsilons):
-        raise ConfigError("need one envelope width per epsilon")
+    c = couplings_nn(1.0)
+    k0, L, t_macro, n_samples = (0.125, 0.0, 0.0), 64, 1.5, 4
+    epsilons, sigmas = (0.25, 0.125), (1.25, 0.9)
     target = c.grad_omega(np.asarray(k0, dtype=np.float64)) / TWO_PI
     speed = float(np.linalg.norm(target))
     vels = []
@@ -569,13 +559,8 @@ def free_flight_check(
         float(np.linalg.norm(np.array(a) - np.array(b))) / speed
         for a in vels for b in vels
     )
-    critical_speed = None
-    if check_critical:
-        # at a critical carrier the packet must not drift: omega_nn peaks at (1/2,1/2,1/2)
-        kc = (0.5, 0.5, 0.5)
-        vc = _packet_velocity(c, WKBPacket(k0=kc, sigma=sigmas[0]), 0.25, 32,
-                              t_macro, n_samples)
-        critical_speed = float(np.linalg.norm(vc))
+    vc = _packet_velocity(c, WKBPacket(k0=(0.5, 0.5, 0.5), sigma=sigmas[0]), 0.25, 32,
+                          t_macro, n_samples)
     return FreeFlightReport(
         k0=list(k0),
         target_velocity=[float(x) for x in target],
@@ -584,7 +569,7 @@ def free_flight_check(
         velocities=vels,
         rel_errors=rels,
         cross_eps_gap=cross,
-        critical_speed=critical_speed,
+        critical_speed=float(np.linalg.norm(vc)),
     )
 
 
@@ -608,9 +593,8 @@ def substitution_gap_exact(
     L: int,
     eps: float,
     distribution: str,
-    f=gaussian_bump,
 ) -> tuple[float, float]:
-    """Exact disorder mean of the time-zero energy pairing gap.
+    """Exact disorder mean of the time-zero energy pairing gap, f = gaussian_bump.
 
     The disorder-independent data (q0, v0) = (Omega^-1 2 Re psi, 2 Im psi)
     make the energy density differ from the wave density only through the
@@ -620,7 +604,7 @@ def substitution_gap_exact(
     wave-side pairing 2 sum_y f(eps y) |psi_y|^2.
     """
     psi = initial_wavefunction(initial, L, eps)
-    fv = np.asarray(f(macro_grid(L, eps)), dtype=np.float64)
+    fv = gaussian_bump(macro_grid(L, eps))
     offset = mean_inverse_mass_sq(distribution, eps) - 1.0
     gap = offset * 2.0 * float(np.sum(fv * psi.imag**2))
     reference = 2.0 * float(np.sum(fv * np.abs(psi) ** 2))
@@ -754,8 +738,8 @@ class CrosscheckReport:
     tail_bound: float
     counts_mean: float
 
-    def passed(self, z_max: float = 3.0) -> bool:
-        return self.worst_z <= z_max
+    def passed(self) -> bool:
+        return self.worst_z <= CROSSCHECK_Z_MAX
 
     def to_obj(self) -> dict:
         return {
@@ -882,8 +866,7 @@ def criterion_3() -> CriterionResult:
     packet = WKBPacket(k0=(0.125, 0.0, 0.0), sigma=0.5)
     psi0 = wkb_state(L, eps, packet.envelope, packet.phase)
     state0 = from_wavefunction(psi0, c)
-    zero = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
-                         distribution="rademacher", seed=0)
+    zero = DisorderField(xi=np.zeros((L, L, L)), distribution="rademacher")
     T = 2.0
     exact = evolve_free_spectral(state0, c, T)
     scale = np.sqrt(float(np.sum(exact.q**2 + exact.v**2)))
@@ -1035,7 +1018,8 @@ def criterion_8(cfg: StudyConfig = DEFAULT_STUDY) -> CriterionResult:
     """Two transport solvers agree within combined error on the study cfg."""
     rep = solver_crosscheck(cfg)
     return CriterionResult(8, "solver cross-validation", rep.passed(),
-                           {**rep.to_obj(), "z_max": 3.0, "xi2": cfg.crosscheck_xi2})
+                           {**rep.to_obj(), "z_max": CROSSCHECK_Z_MAX,
+                            "xi2": cfg.crosscheck_xi2})
 
 
 def criterion_9() -> CriterionResult:
@@ -1113,12 +1097,11 @@ def criterion_10() -> CriterionResult:
                             "z_scores": zs, "bound_ok": bound_ok})
 
 
-def criterion_11(report: FreeFlightReport | None = None) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     """Semiclassical packet drifts at the group velocity."""
-    if report is None:
-        report = free_flight_check()
-    return CriterionResult(11, "free-flight transport", report.passed(0.05),
-                           {**report.to_obj(), "tolerance": 0.05})
+    report = free_flight_check()
+    return CriterionResult(11, "free-flight transport", report.passed(),
+                           {**report.to_obj(), "tolerance": FREE_FLIGHT_TOL})
 
 
 def criterion_12(report: ConvergenceReport) -> CriterionResult:

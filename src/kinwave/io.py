@@ -91,22 +91,12 @@ def couplings_to_obj(c: Couplings) -> list[dict]:
     return [{"offset": list(off), "value": val} for off, val in c.entries]
 
 
-def couplings_from_obj(obj: Sequence[Mapping[str, Any]], tag: str | None = None) -> Couplings:
-    if not obj:
-        raise ConfigError("coupling list is empty")
-    entries = {}
-    for row in obj:
-        try:
-            off = tuple(int(x) for x in row["offset"])
-            val = float(row["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coupling entry {row!r}") from exc
-        if len(off) != 3:
-            raise ConfigError(f"coupling offset must have 3 components, got {off}")
-        if off in entries:
-            raise ConfigError(f"duplicate coupling offset {off}")
-        entries[off] = val
-    return Couplings(entries=tuple(sorted(entries.items())), tag=tag)
+def couplings_from_obj(obj: Sequence[Mapping[str, Any]]) -> Couplings:
+    """Couplings from their JSON rows; the Couplings constructor checks the table."""
+    try:
+        return Couplings(tuple((tuple(row["offset"]), row["value"]) for row in obj))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad coupling entry: {exc!r}") from exc
 
 
 def save_state(
@@ -163,7 +153,6 @@ def save_collision_table(path: str | Path, table: CollisionTable, meta: dict) ->
     meta = {
         "format": "kinwave-table-1",
         "couplings": couplings_to_obj(table.grid.couplings),
-        "tag": table.grid.couplings.tag,
         "M": table.grid.M,
         "beta": table.beta,
         "xi2": table.xi2,
@@ -189,8 +178,7 @@ def load_collision_table(path: str | Path, cfg_hash: str) -> CollisionTable:
         if meta.get("config_hash") != cfg_hash:
             raise ConfigError(f"{path}: table was built for another config")
         sigma = np.array(pack["sigma"], dtype=np.float64)
-    couplings = couplings_from_obj(meta["couplings"], tag=meta.get("tag"))
-    grid = build_dispersion(couplings, int(meta["M"]))
+    grid = build_dispersion(couplings_from_obj(meta["couplings"]), int(meta["M"]))
     if sigma.shape != (grid.M,) * 3:
         raise ConfigError(f"{path}: sigma shape {sigma.shape} != grid {(grid.M,) * 3}")
     return CollisionTable(

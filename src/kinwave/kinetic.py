@@ -497,8 +497,8 @@ def gate_function(
     return complex(xi2 * total / grid.n_points)
 
 
-def theta_plus(grid: DispersionGrid, k, beta: float, xi2: float = 1.0) -> complex:
-    """Gate diagonal at the shifted shell energy: g_{++}(k; omega(k) + i beta).
+def theta_plus(grid: DispersionGrid, k, beta: float) -> complex:
+    """Gate diagonal at the shifted shell energy, g_{++}(k; omega(k) + i beta), at xi2 = 1.
 
     As beta -> 0+ the real part converges to sigma(k)/2 (the half total
     collision rate), at the square-root rate in beta.
@@ -506,7 +506,7 @@ def theta_plus(grid: DispersionGrid, k, beta: float, xi2: float = 1.0) -> comple
     if beta <= 0.0:
         raise ConfigError("beta must be positive")
     wk = float(grid.couplings.omega(np.asarray(k, dtype=np.float64)))
-    return gate_function(grid, k, wk + 1j * beta, 1, 1, xi2)
+    return gate_function(grid, k, wk + 1j * beta, 1, 1)
 
 
 def k_simplex(t: float, w) -> complex:

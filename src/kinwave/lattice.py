@@ -69,12 +69,14 @@ XI_BAR = {"uniform": float(np.sqrt(3.0)), "rademacher": 1.0}
 
 @dataclass(frozen=True)
 class DisorderField:
-    """One realization of the i.i.d. site disorder (unit variance, mean zero)."""
+    """One realization of the i.i.d. site disorder (unit variance, mean zero, |xi| <= xi_bar)."""
 
     xi: np.ndarray
-    xi_bar: float
     distribution: str
-    seed: int
+
+    @property
+    def xi_bar(self) -> float:
+        return XI_BAR[self.distribution]
 
 
 @dataclass
@@ -99,7 +101,7 @@ def draw_disorder(rng: np.random.Generator, distribution: str, shape) -> np.ndar
 
 def sample_disorder(L: int, distribution: str, seed: int) -> DisorderField:
     xi = draw_disorder(np.random.default_rng(seed), distribution, (L, L, L))
-    return DisorderField(xi=xi, xi_bar=XI_BAR[distribution], distribution=distribution, seed=seed)
+    return DisorderField(xi=xi, distribution=distribution)
 
 
 def signed_axis(L: int) -> np.ndarray:

@@ -65,7 +65,10 @@ class CumulantVector:
 
     distribution: str
     values: tuple[Fraction, ...]
-    xi_bar: float
+
+    @property
+    def xi_bar(self) -> float:
+        return XI_BAR[self.distribution]
 
     def __getitem__(self, order: int) -> Fraction:
         if not (1 <= order <= len(self.values)):
@@ -99,8 +102,7 @@ def cumulants_of(distribution: str, n_max: int = MAX_ORDER) -> CumulantVector:
             tail = m[n - j - 1] if n - j >= 1 else Fraction(1)
             total -= comb(n - 1, j - 1) * c[j - 1] * tail
         c.append(total)
-    return CumulantVector(distribution=distribution, values=tuple(c),
-                          xi_bar=XI_BAR[distribution])
+    return CumulantVector(distribution=distribution, values=tuple(c))
 
 
 def moment_via_partitions(index_map, cum: CumulantVector) -> Fraction:

@@ -478,3 +478,98 @@ def test_acceptance_study_dir_is_what_compare_writes(tmp_path, monkeypatch):
     harness.run_acceptance(out_dir=tmp_path / "accept",
                            cfg=harness.StudyConfig.from_obj(SMALL_COMPARE))
     assert _masked_artifacts(tmp_path / "accept" / "study") == _masked_artifacts(out)
+
+
+WKB = {"type": "wkb", "k0": [0.125, 0.0, 0.0], "sigma": 0.5}
+
+# one small valid config per subcommand, with the keys whose integers the
+# float test below writes as integral floats (couplings: their offsets)
+SUBCOMMAND_DOCS = {
+    "dispersion": ({"couplings": NN_COUPLINGS, "M": 8, "master_seed": 3},
+                   ["M", "couplings"]),
+    "kernel": ({"couplings": NN_COUPLINGS, "M": 8, "beta": 0.5, "balance_pairs": 10,
+                "master_seed": 41}, ["M", "balance_pairs", "couplings"]),
+    "simulate": ({"couplings": NN_COUPLINGS, "L": 8, "eps": 0.25,
+                  "distribution": "rademacher",
+                  "initial": {"type": "point",
+                              "amplitudes": [{"offset": [1, 0, 0], "re": 1.0}]},
+                  "t_final": 0.5, "snapshots": 2, "master_seed": 1},
+                 ["L", "master_seed", "snapshots", "initial"]),
+    "boltzmann": ({"couplings": NN_COUPLINGS, "M": 8, "initial": WKB, "t_bar": 0.2,
+                   "particles": 2000, "master_seed": 37}, ["M", "particles", "couplings"]),
+    "compare": (SMALL_COMPARE, ["realizations", "box_sizes", "M"]),
+    "cumulants": ({"distribution": "rademacher", "n_max": 6, "patterns": [[0, 0, 1, 1]],
+                   "n_samples": 2000, "master_seed": 5}, ["n_max", "n_samples", "patterns"]),
+    "crossing": ({"couplings": NN_COUPLINGS, "alpha": [0.1, 0.2, 0.3], "signs": [1, -1, 1],
+                  "u": [0.25, 0.0, 0.0], "betas": [0.2, 0.1, 0.05], "n_samples": 1000,
+                  "master_seed": 23}, ["n_samples", "signs", "couplings"]),
+}
+
+
+def _floats(value):
+    """value with every int in it written as a float."""
+    if isinstance(value, dict):
+        return {k: _floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_DOCS))
+def test_integral_floats_at_integer_keys_are_those_integers(tmp_path, capsys, sub):
+    """16.0 at an integer key is the integer 16: the run succeeds and writes
+    what the integer spelling writes, config hash included.  16.5 is refused
+    with exit 1, and nothing is written."""
+    doc, keys = SUBCOMMAND_DOCS[sub]
+    floated = {**doc, **{key: _floats(doc[key]) for key in keys}}
+    runs = {}
+    for name, variant in (("int", doc), ("float", floated)):
+        out = tmp_path / name
+        path = write_config(tmp_path, f"{name}.json", {**variant, "output_dir": str(out)})
+        assert cli.dispatch([sub, "--config", str(path)]) == 0, capsys.readouterr().err
+        runs[name] = _masked_artifacts(out)
+    assert runs["int"] == runs["float"]
+
+    key = next(k for k in keys if isinstance(doc[k], int))
+    out = tmp_path / "fraction"
+    path = write_config(tmp_path, "fraction.json",
+                        {**doc, key: doc[key] + 0.5, "output_dir": str(out)})
+    for dry in ([], ["--validate-only"]):
+        assert cli.dispatch([sub, "--config", str(path), *dry]) == 1
+        assert "schema violation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_DOCS))
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize("dry", [False, True])
+def test_master_seed_outside_64_bits_is_refused(tmp_path, capsys, sub, seed, dry):
+    """Every seed consumer takes a non-negative integer below 2^63: a seed
+    outside that range is a schema violation that writes nothing."""
+    out = tmp_path / "out"
+    doc = {**SUBCOMMAND_DOCS[sub][0], "master_seed": seed, "output_dir": str(out)}
+    path = write_config(tmp_path, "c.json", doc)
+    argv = [sub, "--config", str(path)] + (["--validate-only"] if dry else [])
+    assert cli.dispatch(argv) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spelled_out_couplings_share_the_study_grid(tmp_path):
+    """A boltzmann config that writes DEFAULT_STUDY's couplings out as rows and
+    the solver cross-check on DEFAULT_STUDY's couplings read one cached
+    M = 48 grid: the couplings are their table."""
+    import dataclasses
+
+    from kinwave.dispersion import build_dispersion
+    from kinwave.harness import DEFAULT_STUDY, solver_crosscheck
+
+    doc = {"couplings": NN_COUPLINGS, "M": 48, "initial": WKB, "t_bar": 0.1,
+           "particles": 1000, "master_seed": 13, "output_dir": str(tmp_path / "out")}
+    build_dispersion.cache_clear()
+    assert cli.dispatch(["boltzmann", "--config",
+                         str(write_config(tmp_path, "b.json", doc))]) == 0
+    solver_crosscheck(dataclasses.replace(DEFAULT_STUDY, t_bar=0.1, particles=2000,
+                                          dyson_samples=1000))
+    info = build_dispersion.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,36 @@ def test_couplings_must_be_symmetric():
         Couplings(entries=(((-1, 0, 0), -0.2), ((0, 0, 0), 7.0), ((1, 0, 0), -1.0)))
     # a zero coupling needs no stored mirror
     Couplings(entries=(((0, 0, 0), 1.0), ((2, 0, 0), 0.0)))
+
+
+def test_couplings_are_their_table():
+    """Permuted entries, integer values, float offsets and the JSON round trip
+    of the preset all give the preset: one table, one cache key, one grid."""
+    from kinwave.io import couplings_from_obj, couplings_to_obj
+
+    c = couplings_nn(1.0)
+    same = [
+        Couplings(c.entries[::-1]),
+        Couplings(tuple((off, int(val)) for off, val in c.entries)),
+        Couplings(tuple((tuple(float(x) for x in off), val) for off, val in c.entries)),
+        couplings_from_obj(json.loads(json.dumps(couplings_to_obj(c)))),
+    ]
+    for other in same:
+        assert other == c and hash(other) == hash(c)
+        assert all(type(x) is int for off, _ in other.entries for x in off)
+        assert all(type(val) is float for _, val in other.entries)
+        assert build_dispersion(other, 8) is build_dispersion(c, 8)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((), "empty"),
+    ((((0, 0, 0), 7.0), ((0, 0, 0), 6.0)), "distinct integer 3-vectors"),
+    ((((0, 0), 7.0),), "distinct integer 3-vectors"),
+    ((((0, 0, 0.5), 7.0),), "distinct integer 3-vectors"),
+])
+def test_couplings_constructor_refuses_a_bad_table(entries, message):
+    with pytest.raises(ConfigError, match=message):
+        Couplings(entries)
 
 
 def test_critical_points_nn():

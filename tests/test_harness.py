@@ -70,6 +70,7 @@ def test_study_validation_errors():
 @pytest.mark.parametrize("field, value", [
     ("t_bar", -0.1), ("particles", 1), ("beta", 2.0), ("xi2", 0.0),
     ("crosscheck_xi2", -0.25), ("dyson_samples", 10), ("m_max", 65), ("workers", 0),
+    ("master_seed", -1), ("master_seed", 2**63),
 ])
 def test_validate_refuses_what_the_stages_refuse(tmp_path, field, value):
     """A value that a later stage or the solver crosscheck would refuse is
@@ -167,11 +168,6 @@ def test_substitution_gap_decays_linearly():
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
     assert gaps[0] / gaps[1] > 1.6
     assert gaps[1] / gaps[2] > 1.6
-
-
-def test_free_flight_sigma_mismatch():
-    with pytest.raises(ConfigError):
-        free_flight_check(sigmas=(1.0,), epsilons=(0.25, 0.125))
 
 
 def _round_trip_velocity(c, packet, eps, L, t_macro, n_samples):
@@ -341,7 +337,7 @@ def test_one_disorder_draw_per_realization_for_both_ladders(monkeypatch):
     assert transport.micro_t_se == [r.pairing_t_se for r in report.rungs]
 
 
-DEFAULT_HASH = "341eb2f4612b98bc968cd004415c937d2aac3b9c2a837f8e1146456e6396ee11"
+DEFAULT_HASH = "c5b708b59e5216b8046f1d9c84bb79d110ccf51be0e134527d60c02c51b220cf"
 
 
 def _hash(cfg):
@@ -351,18 +347,45 @@ def _hash(cfg):
 def test_study_from_obj_keeps_the_config_hashes():
     assert _hash(DEFAULT_STUDY) == DEFAULT_HASH
     assert _hash(StudyConfig.from_obj({"master_seed": 7})) == DEFAULT_HASH
-    # every default spelled out, numbers as JSON may carry them; keys that
-    # name no field (couplings_tag, pairing, propagator, output routing) are
-    # ignored
-    spelled = {**DEFAULT_STUDY.to_obj(), "workers": 1, "output_dir": "x",
-               "resume": False, "M": 48.0, "realizations": 100.0}
+    # every default spelled out, numbers as JSON may carry them (the
+    # couplings as integer-valued rows in reverse order); keys that name no
+    # field (pairing, propagator, output routing) are ignored
+    rows = [{**row, "value": int(row["value"])}
+            for row in io.couplings_to_obj(DEFAULT_STUDY.couplings)[::-1]]
+    spelled = {**DEFAULT_STUDY.to_obj(), "couplings": rows, "workers": 1,
+               "output_dir": "x", "resume": False, "M": 48.0, "realizations": 100.0}
+    assert StudyConfig.from_obj(spelled) == DEFAULT_STUDY
+    assert _hash(StudyConfig.from_obj(spelled)) == DEFAULT_HASH
     del spelled["couplings"]
     assert StudyConfig.from_obj(spelled) == DEFAULT_STUDY
     assert _hash(StudyConfig.from_obj(spelled)) == DEFAULT_HASH
-    # explicit couplings carry no tag, which the hash records
-    explicit = StudyConfig.from_obj({**spelled, "couplings": io.couplings_to_obj(C)})
-    assert explicit.couplings.entries == C.entries
-    assert _hash(explicit).startswith("8395cd42f23b")
+
+
+def test_criteria_8_and_11_report_the_constants_they_gate_on(monkeypatch):
+    """The thresholds in the details of criteria 8 and 11 are the module
+    constants that the reports' passed() read."""
+    rep = harness.CrosscheckReport(
+        observables=DEFAULT_OBSERVABLES[:1], jump_means=[1.0], dyson_means=[1.0],
+        combined_se=[0.1], z_scores=[harness.CROSSCHECK_Z_MAX],
+        worst_z=harness.CROSSCHECK_Z_MAX, tail_bound=0.0, counts_mean=1.0)
+    monkeypatch.setattr(harness, "solver_crosscheck", lambda cfg: rep)
+    result = harness.criterion_8()
+    assert result.passed and result.detail["z_max"] == harness.CROSSCHECK_Z_MAX
+    monkeypatch.setattr(harness, "CROSSCHECK_Z_MAX", 2.0)
+    result = harness.criterion_8()
+    assert not result.passed and result.detail["z_max"] == 2.0
+
+    tol = harness.FREE_FLIGHT_TOL
+    flight = harness.FreeFlightReport(
+        k0=[0.125, 0.0, 0.0], target_velocity=[1.0, 0.0, 0.0], epsilons=[0.25],
+        sigmas=[1.25], velocities=[[1.0 + tol, 0.0, 0.0]], rel_errors=[tol],
+        cross_eps_gap=0.0, critical_speed=tol)
+    monkeypatch.setattr(harness, "free_flight_check", lambda: flight)
+    result = harness.criterion_11()
+    assert result.passed and result.detail["tolerance"] == tol
+    monkeypatch.setattr(harness, "FREE_FLIGHT_TOL", tol / 2)
+    result = harness.criterion_11()
+    assert not result.passed and result.detail["tolerance"] == tol / 2
 
 
 def test_study_from_obj_coerces_numbers():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kinwave.dispersion import Couplings, build_dispersion, couplings_nn, coupli
 from kinwave.errors import ConfigError
 from kinwave.initial import PointSource, WKBPacket
 from kinwave.lattice import (
+    XI_BAR,
     DisorderField,
     LatticeState,
     energy,
@@ -40,9 +43,11 @@ def test_signed_axis():
 
 def test_sample_disorder_statistics():
     d = sample_disorder(16, "rademacher", seed=5)
+    assert [f.name for f in fields(DisorderField)] == ["xi", "distribution"]
     assert set(np.unique(d.xi)) == {-1.0, 1.0}
-    assert d.xi_bar == 1.0
+    assert d.xi_bar == XI_BAR["rademacher"] == 1.0
     u = sample_disorder(24, "uniform", seed=5)
+    assert u.xi_bar == XI_BAR["uniform"] == np.sqrt(3.0)
     assert np.max(np.abs(u.xi)) < np.sqrt(3.0)
     # unit variance within MC noise on 24^3 sites
     assert abs(u.xi.var() - 1.0) < 0.02
@@ -77,8 +82,7 @@ def test_clean_wave_map_roundtrip():
     psi = random_psi(L, 5)
     state = from_wavefunction(psi, C)
     np.testing.assert_allclose(to_wavefunction(state, None, 0.0, C), psi, atol=1e-15)
-    zero = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
-                         distribution="rademacher", seed=0)
+    zero = DisorderField(xi=np.zeros((L, L, L)), distribution="rademacher")
     np.testing.assert_array_equal(np.abs(to_wavefunction(state, None, 0.25, C)),
                                   np.abs(to_wavefunction(state, zero, 0.25, C)))
 
@@ -109,9 +113,7 @@ def test_evolve_matches_spectral_on_clean_lattice():
     """Verlet with dt refinement converges to the exact free evolution."""
     L = 8
     psi = random_psi(L, 31)
-    clean = DisorderField(
-        xi=np.zeros((L, L, L)), xi_bar=1.0, distribution="rademacher", seed=0
-    )
+    clean = DisorderField(xi=np.zeros((L, L, L)), distribution="rademacher")
     state = from_wavefunction(psi, C, clean, 0.25)
     t = 2.0
     exact = evolve_free_spectral(LatticeState(q=state.q.copy(), v=state.v.copy()), C, t)
@@ -231,8 +233,7 @@ def test_propagate_is_exact_on_the_clean_lattice(name):
     rounding, over short and long times, on an odd and an even box."""
     c = COUPLING_SETS[name]
     for L in (5, 8):
-        clean = DisorderField(xi=np.zeros((L, L, L)), xi_bar=1.0,
-                              distribution="rademacher", seed=0)
+        clean = DisorderField(xi=np.zeros((L, L, L)), distribution="rademacher")
         state = from_wavefunction(random_psi(L, 31), c, clean, 0.0)
         for t in (0.05, 1.0, 4.0, 25.0):
             (got,) = propagate(state.q, [state.v], clean, 0.0, c, t)

@@ -15,6 +15,7 @@ import kinwave
 
 SRC = Path(kinwave.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _modules():
@@ -140,6 +141,59 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"kinwave.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_every_workload_call_into_kinwave_resolves():
+    """The benchmark workloads reach kinwave by name: every name they import
+    from it and every attribute they read off a kinwave module exists, and
+    every keyword they pass to a kinwave callable, or to dataclasses.replace
+    on a kinwave object, is one of its parameters or fields.  A name or
+    keyword that went missing would surface only as failed operations."""
+    import dataclasses
+    import inspect
+
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kinwave"):
+            for alias in node.names:
+                try:
+                    bound[alias.asname or alias.name] = importlib.import_module(
+                        f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    module = importlib.import_module(node.module)
+                    assert hasattr(module, alias.name), f"{node.module}.{alias.name} is missing"
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+
+    def resolve(expr):
+        """The kinwave object an expression names, or None."""
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = resolve(expr.value)
+            if owner is not None:
+                assert hasattr(owner, expr.attr), f"{ast.unparse(expr)} is missing"
+                return getattr(owner, expr.attr)
+        return None
+
+    checked = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+        if not isinstance(node, ast.Call) or not node.keywords:
+            continue
+        if ast.unparse(node.func) == "dataclasses.replace":
+            target = resolve(node.args[0])
+            names = target and {f.name for f in dataclasses.fields(target)}
+        else:
+            callee = resolve(node.func)
+            names = callee and set(inspect.signature(callee).parameters)
+        if names is None:
+            continue
+        checked.append(ast.unparse(node.func))
+        unknown = [kw.arg for kw in node.keywords if kw.arg not in names]
+        assert unknown == [], f"{ast.unparse(node)[:60]}: {unknown}"
+    assert {"RunConfig", "lattice.evolve", "dataclasses.replace"} <= set(checked)
 
 
 def test_every_subcommand_reads_each_key_it_accepts():
