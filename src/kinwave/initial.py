@@ -8,6 +8,7 @@ Each spec has one JSON form: to_obj writes it, initial_from_obj reads it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class WKBPacket:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if len(self.k0) != 3:
+            raise ConfigError(f"carrier wavevector {self.k0} is not a 3-vector")
         if self.sigma <= 0.0:
             raise ConfigError("packet width must be positive")
 
@@ -77,17 +80,27 @@ class PointSource:
     """Finitely supported amplitudes around the origin site.
 
     The limiting measure is delta(x) times |psi_hat(k)|^2 dk, psi_hat the
-    lattice Fourier transform of the amplitudes.
+    lattice Fourier transform of the amplitudes.  Each offset must be an
+    integer 3-vector: an integral float such as 1.0 is stored as the int 1,
+    and 1.9 is refused, not truncated.  The amplitudes are kept sorted by
+    offset.
     """
 
     amplitudes: tuple[tuple[tuple[int, int, int], complex], ...]
 
+    def __post_init__(self):
+        items = []
+        for off, val in self.amplitudes:
+            if len(off) != 3 or not all(isinstance(c, numbers.Real)
+                                        and float(c).is_integer() for c in off):
+                raise ConfigError(f"offset {list(off)} is not an integer 3-vector")
+            items.append((tuple(int(c) for c in off), complex(val)))
+        items.sort(key=lambda item: item[0])
+        object.__setattr__(self, "amplitudes", tuple(items))
+
     @staticmethod
     def from_dict(amps: dict[tuple[int, int, int], complex]) -> "PointSource":
-        items = tuple(sorted(
-            (tuple(int(c) for c in off), complex(val)) for off, val in amps.items()
-        ))
-        return PointSource(amplitudes=items)
+        return PointSource(amplitudes=tuple(amps.items()))
 
     def to_obj(self) -> dict:
         return {"type": "point", "amplitudes": [
@@ -127,6 +140,6 @@ def initial_from_obj(obj: dict) -> WKBPacket | PointSource:
             amplitude=float(obj.get("amplitude", 1.0)),
         )
     return PointSource.from_dict({
-        tuple(int(c) for c in row["offset"]): complex(row["re"], row.get("im", 0.0))
+        tuple(row["offset"]): complex(row["re"], row.get("im", 0.0))
         for row in obj["amplitudes"]
     })

@@ -15,10 +15,11 @@ table: a jump-process simulator (free flight at group velocity
 grad omega / 2 pi, exponential waiting times, shell-envelope jumps) and a
 truncated collision-expansion evaluator whose m-th term integrates the same
 jump chain over the time simplex.  Initial packet positions are exact
-Gaussian draws, and every particle carries the same weight, so both
-solvers' jackknife standard errors take a closed form.  The module also
-carries the spectral transport machinery: the gate function whose real
-diagonal part recovers sigma/2, and the simplex kernels K_N.
+Gaussian draws, and an ensemble carries its total mass, shared equally by
+its particles, so both solvers' estimates are scaled sample means
+(wigner.Estimates.of).  The module also carries the spectral transport
+machinery: the gate diagonal whose real part recovers sigma/2, and the
+simplex kernels K_N.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "sample_initial",
     "simulate",
     "characteristic_function",
-    "gate_function",
     "theta_plus",
     "k_simplex",
     "dyson_characteristic",
@@ -297,12 +297,13 @@ def sample_jump(
 
 @dataclass
 class ParticleEnsemble:
-    """Weighted particles of the transport equation: macroscopic positions,
-    flat wavevector grid indices, and weights summing to the total mass."""
+    """Particles of the transport equation: macroscopic positions and flat
+    wavevector grid indices.  The total mass is shared equally, mass / n per
+    particle."""
 
     x: np.ndarray          # (n, 3) float
     k_idx: np.ndarray      # (n,) int flat grid indices
-    weights: np.ndarray    # (n,) float
+    mass: float            # total mass of the wave data
     grid: DispersionGrid   # wavevector grid the indices refer to
 
     @property
@@ -322,7 +323,7 @@ def sample_initial(
     |h(x)|^2 (WKBPacket.sample_positions), wavevector the nearest grid point
     to grad S / 2 pi at the sampled position.  Point data: all particles at
     the origin, wavevectors drawn from the squared Fourier amplitudes on the
-    grid.  Weights are uniform and sum to the mass of the wave data.
+    grid.  The ensemble carries the mass of the wave data.
     """
     if n < 1:
         raise ConfigError("need at least one particle")
@@ -343,7 +344,7 @@ def sample_initial(
     return ParticleEnsemble(
         x=x,
         k_idx=np.asarray(k_idx, dtype=np.int64),
-        weights=np.full(n, initial.mass / n),
+        mass=initial.mass,
         grid=grid,
     )
 
@@ -354,8 +355,8 @@ def simulate(
     """Run the jump process for macroscopic time t.
 
     Each particle flies at grad omega(k)/(2 pi), waits an Exp(sigma(k)) time,
-    then jumps through sample_jump; weights never change.  Returns the evolved
-    ensemble and the per-particle collision counts.
+    then jumps through sample_jump; the mass never changes.  Returns the
+    evolved ensemble and the per-particle collision counts.
     """
     if t < 0.0:
         raise ConfigError("time must be nonnegative")
@@ -378,39 +379,7 @@ def simulate(
             k[jumpers] = sample_jump(table, k[jumpers], rng)
             counts[jumpers] += 1
         active = jumpers     # everyone else exhausted their remaining time
-    return ParticleEnsemble(x=x, k_idx=k, weights=ens.weights.copy(), grid=ens.grid), counts
-
-
-def _jackknife(weights: np.ndarray, z: np.ndarray) -> tuple[complex, float, float]:
-    """Leave-one-out error of the reweighted sum F = (sum w z) * W/(W - w_i),
-    for uniform weights w = W/n.  The leave-one-out values are then
-    w n/(n - 1) (n zbar - z_i), affine in z_i, so the jackknife variance
-    (n - 1)/n sum_i (F_i - mean F_i)^2 takes the closed form
-
-        w^2 n/(n - 1) sum_i (z_i - zbar)^2
-
-    for the real and the imaginary part alike."""
-    n = z.size
-    scale = float(weights[0]) * math.sqrt(n / (n - 1))
-    se = []
-    for part in (z.real, z.imag):
-        dev = part - part.mean()
-        se.append(scale * math.sqrt(float(np.dot(dev, dev))))
-    return complex(np.sum(weights * z)), se[0], se[1]
-
-
-def _estimates(weights: np.ndarray, columns) -> Estimates:
-    """One jackknife per observable, over its per-particle phase column.
-    The weights must be uniform, as sample_initial draws them."""
-    if weights.size < 2 or np.any(weights != weights[0]):
-        raise ConfigError("the jackknife needs at least two particles of equal weight")
-    stats = [_jackknife(weights, z) for z in columns]
-    return Estimates(
-        mean=np.array([s[0] for s in stats], dtype=np.complex128),
-        stderr_re=np.array([s[1] for s in stats]),
-        stderr_im=np.array([s[2] for s in stats]),
-        count=weights.size,
-    )
+    return ParticleEnsemble(x=x, k_idx=k, mass=ens.mass, grid=ens.grid), counts
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -453,7 +422,8 @@ def _shift_tables(grid: DispersionGrid, observables) -> dict:
 
 
 def characteristic_function(ens: ParticleEnsemble, observables) -> Estimates:
-    """sum_j w_j exp(-i 2 pi (p.x_j - n.k_j)) with jackknife standard errors.
+    """mass times the particle mean of exp(-i 2 pi (p.x_j - n.k_j)), with
+    its standard error, one observable column at a time.
 
     The phase factors by mode: exp(-i 2 pi p.x) costs one cos/sin pass per
     distinct nonzero p, and exp(i 2 pi n.k) is gathered by flat grid index
@@ -469,44 +439,31 @@ def characteristic_function(ens: ParticleEnsemble, observables) -> Estimates:
             return np.ones(ens.n, dtype=np.complex128)
         return kn if xp is None else xp if kn is None else xp * kn
 
-    return _estimates(ens.weights, (column(obs) for obs in observables))
-
-
-def gate_function(
-    grid: DispersionGrid, k, w: complex, s1: int, s2: int, xi2: float = 1.0
-) -> complex:
-    """Grid quadrature of the resolvent gate
-
-    g_{s1 s2}(k; w) = xi2 * sum_{s'} avg_{k'} i/(w - s' omega(k'))
-                      * (omega(k) + s1 s' omega(k')) / 2
-                      * (omega(k) + s2 s' omega(k')) / 2.
-
-    The summand depends on k' only through omega(k'), so the average runs
-    over the grid's distinct energies, each weighted by its count.
-    """
-    if s1 not in (-1, 1) or s2 not in (-1, 1):
-        raise ConfigError("component signs must be +-1")
-    wk = float(grid.couplings.omega(np.asarray(k, dtype=np.float64)))
-    wp, counts = grid.levels.omega, grid.levels.counts
-    total = 0.0 + 0.0j
-    for sp in (-1, 1):
-        total += np.sum(
-            counts * (1j / (w - sp * wp) * ((wk + s1 * sp * wp) / 2.0)
-                      * ((wk + s2 * sp * wp) / 2.0))
-        )
-    return complex(xi2 * total / grid.n_points)
+    return Estimates.of((column(obs) for obs in observables), ens.mass, ens.n)
 
 
 def theta_plus(grid: DispersionGrid, k, beta: float) -> complex:
-    """Gate diagonal at the shifted shell energy, g_{++}(k; omega(k) + i beta), at xi2 = 1.
+    """Gate diagonal at the shifted shell energy w = omega(k) + i beta, by
+    grid quadrature at xi2 = 1:
 
-    As beta -> 0+ the real part converges to sigma(k)/2 (the half total
+        theta_+(k) = sum_{s'} avg_{k'} i/(w - s' omega(k'))
+                     * ((omega(k) + s' omega(k')) / 2)^2.
+
+    The summand depends on k' only through omega(k'), so the average runs
+    over the grid's distinct energies, each weighted by its count.  As
+    beta -> 0+ the real part converges to sigma(k)/2 (the half total
     collision rate), at the square-root rate in beta.
     """
     if beta <= 0.0:
         raise ConfigError("beta must be positive")
     wk = float(grid.couplings.omega(np.asarray(k, dtype=np.float64)))
-    return gate_function(grid, k, wk + 1j * beta, 1, 1)
+    w = wk + 1j * beta
+    wp, counts = grid.levels.omega, grid.levels.counts
+    total = 0.0 + 0.0j
+    for sp in (-1, 1):
+        half = (wk + sp * wp) / 2.0
+        total += np.sum(counts * (1j / (w - sp * wp) * half * half))
+    return complex(total / grid.n_points)
 
 
 def k_simplex(t: float, w) -> complex:
@@ -567,9 +524,9 @@ def dyson_characteristic(
     table: CollisionTable,
     t_bar: float,
     observables,
-    m_max: int = 8,
-    n_mc: int = 10_000,
-    rng: np.random.Generator | None = None,
+    m_max: int,
+    n_mc: int,
+    rng: np.random.Generator,
 ) -> tuple[Estimates, float]:
     """Collision-expansion estimate of the transport characteristic function.
 
@@ -599,7 +556,6 @@ def dyson_characteristic(
         raise ConfigError("need at least 1e3 samples")
     if t_bar < 0.0:
         raise ConfigError("t_bar must be nonnegative")
-    rng = rng or np.random.default_rng(0)
     ens = sample_initial(initial, n_mc, table, rng)
     sigma = table.sigma_flat
     grad = table.grid.grad_flat
@@ -634,7 +590,7 @@ def dyson_characteristic(
             r *= t_bar
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
         if m == q:
-            lead = float(np.sum(ens.weights * prefac * decay)) * t_bar**q / math.factorial(q)
+            lead = ens.mass * float(np.mean(prefac * decay)) * t_bar**q / math.factorial(q)
             break
         base = prefac * decay * (t_bar**m / math.factorial(m))
         # flight displacement over the m + 1 segments, shared by every observable
@@ -656,4 +612,4 @@ def dyson_characteristic(
         tail = lead / (1.0 - ratio)
     else:                               # not contractive yet: crude factorial sum
         tail = initial.mass * truncation_tail(table.sigma_max * t_bar, m_max)
-    return _estimates(ens.weights, totals), tail
+    return Estimates.of(totals, ens.mass, n_mc), tail

@@ -189,12 +189,37 @@ class RunConfig:
 @dataclass(frozen=True)
 class Estimates:
     """Estimates of F(p, n), one entry per observable in the caller's order:
-    the record that the lattice average and both transport solvers return."""
+    the record that the lattice average and both transport solvers return,
+    each through Estimates.of."""
 
     mean: np.ndarray         # (n_obs,) complex
     stderr_re: np.ndarray    # (n_obs,) standard error of the real part
     stderr_im: np.ndarray    # (n_obs,) standard error of the imaginary part
     count: int               # realizations or particles behind each mean
+
+    @staticmethod
+    def of(columns, scale: float, count: int) -> "Estimates":
+        """scale times the sample mean of each column of count samples, with
+        the standard error of the mean, std(ddof=1) / sqrt(count), of its
+        real and imaginary parts.  A sum over particles of equal weight
+        scale / count is such a mean, and its jackknife standard error is
+        this one (Efron 1982), so the lattice average (realization columns,
+        scale 1) and the transport solvers (particle columns, scale the
+        ensemble mass) share one reduction.  The columns are reduced one at a
+        time, so an iterable of them is never stacked; count is given, not
+        read off a column, because a run may have no observables."""
+        if count < 2:
+            raise ConfigError("a standard error needs at least two samples")
+        mean, se_re, se_im = [], [], []
+        for z in columns:
+            mean.append(z.mean())
+            se_re.append(z.real.std(ddof=1))
+            se_im.append(z.imag.std(ddof=1))
+        root = math.sqrt(count)
+        return Estimates(mean=np.array(mean, dtype=np.complex128) * scale,
+                         stderr_re=np.array(se_re, dtype=np.float64) / root * scale,
+                         stderr_im=np.array(se_im, dtype=np.float64) / root * scale,
+                         count=count)
 
 
 @dataclass(frozen=True)
@@ -315,9 +340,6 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
         raise RuntimeError(
             f"{n_dropped}/{config.realizations} realizations dropped; run failed"
         )
-    if len(rows) < 2:
-        raise RuntimeError("fewer than 2 usable realizations")
-
     data = np.array(rows)                      # (R, n_obs)
     norm_arr = np.array(norms)
 
@@ -327,12 +349,7 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
     bound_ok = max_excess <= 1e-12
 
     return WignerResult(
-        estimates=Estimates(
-            mean=data.mean(axis=0),
-            stderr_re=data.real.std(axis=0, ddof=1) / np.sqrt(len(rows)),
-            stderr_im=data.imag.std(axis=0, ddof=1) / np.sqrt(len(rows)),
-            count=len(rows),
-        ),
+        estimates=Estimates.of(data.T, 1.0, len(rows)),
         n_dropped=n_dropped,
         bound_ok=bound_ok,
         max_bound_excess=max_excess,

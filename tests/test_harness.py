@@ -19,7 +19,7 @@ from kinwave.harness import (
     mean_inverse_mass_sq,
     substitution_gap_exact,
 )
-from kinwave.initial import WKBPacket
+from kinwave.initial import PointSource, WKBPacket, initial_from_obj
 from kinwave.lattice import (
     evolve_free_spectral,
     from_wavefunction,
@@ -362,8 +362,8 @@ def test_study_from_obj_keeps_the_config_hashes():
 
 
 def test_criteria_8_and_11_report_the_constants_they_gate_on(monkeypatch):
-    """The thresholds in the details of criteria 8 and 11 are the module
-    constants that the reports' passed() read."""
+    """The thresholds in the details of criteria 8, 11 and 12 are the module
+    constants that their verdicts read."""
     rep = harness.CrosscheckReport(
         observables=DEFAULT_OBSERVABLES[:1], jump_means=[1.0], dyson_means=[1.0],
         combined_se=[0.1], z_scores=[harness.CROSSCHECK_Z_MAX],
@@ -386,6 +386,20 @@ def test_criteria_8_and_11_report_the_constants_they_gate_on(monkeypatch):
     monkeypatch.setattr(harness, "FREE_FLIGHT_TOL", tol / 2)
     result = harness.criterion_11()
     assert not result.passed and result.detail["tolerance"] == tol / 2
+
+    ceiling = harness.CONVERGENCE_CEILING
+    ladder = harness.ConvergenceReport(
+        observables=DEFAULT_OBSERVABLES[:1], reference={},
+        rungs=[harness.EpsilonRung(
+            eps=eps, L=16, means=[1.0], se_re=[0.0], se_im=[0.0], count=2,
+            n_dropped=0, bound_ok=True, max_bound_excess=0.0, norm_mean=1.0,
+            pairing_t_mean=0.0, pairing_t_se=0.0, gaps=[err], err=err, elapsed=0.0)
+            for eps, err in ((0.5, 2.0 * ceiling), (0.25, ceiling))])
+    result = harness.criterion_12(ladder)
+    assert result.passed and result.detail["ceiling"] == ceiling
+    monkeypatch.setattr(harness, "CONVERGENCE_CEILING", ceiling / 2)
+    result = harness.criterion_12(ladder)
+    assert not result.passed and result.detail["ceiling"] == ceiling / 2
 
 
 def test_study_from_obj_coerces_numbers():
@@ -412,6 +426,32 @@ def test_study_from_obj_refuses_a_fractional_shift():
     assert as_float.observables[1].n == (1, 0, 0)
 
 
+_POINT_AT_1_9 = {"type": "point", "amplitudes": [{"offset": [1.9, 0, 0], "re": 1.0}]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PointSource.from_dict({(1.9, 0, 0): 1.0}),
+    lambda: initial_from_obj(_POINT_AT_1_9),
+    lambda: StudyConfig.from_obj({"master_seed": 7, "initial": _POINT_AT_1_9}),
+    lambda: WKBPacket(k0=(0.125, 0.0), sigma=0.5),
+    lambda: initial_from_obj({"type": "wkb", "k0": [0.125, 0.0], "sigma": 0.5}),
+], ids=["from_dict", "initial_from_obj", "study", "wkb", "wkb_from_obj"])
+def test_initial_data_refuses_what_it_would_truncate(build):
+    """A point offset of 1.9 is refused, not truncated to 1, and a packet's
+    carrier wavevector must have three components."""
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_an_integral_float_offset_is_the_integer_offset():
+    doc = {"master_seed": 7, "initial": {"type": "point", "amplitudes": [
+        {"offset": [1.0, 0, 0], "re": 1.0}, {"offset": [0, 0, 0], "re": 0.5}]}}
+    as_float = StudyConfig.from_obj(doc)
+    doc["initial"]["amplitudes"][0]["offset"] = [1, 0, 0]
+    assert _hash(as_float) == _hash(StudyConfig.from_obj(doc))
+    assert as_float.initial.amplitudes[1][0] == (1, 0, 0)
+
+
 def test_study_from_obj_refuses_non_integral_integers():
     """Integer fields refuse a fractional number instead of truncating it."""
     cases = [("master_seed", {"master_seed": 7.9}),
@@ -423,8 +463,6 @@ def test_study_from_obj_refuses_non_integral_integers():
 
 
 def test_study_to_obj_round_trips():
-    from kinwave.initial import PointSource
-
     cfg = StudyConfig(
         couplings=C, distribution="uniform",
         initial=PointSource.from_dict({(0, 0, 0): 1.0, (1, 0, 0): 0.5 - 0.25j}),

@@ -19,7 +19,6 @@ from kinwave.kinetic import (
     characteristic_function,
     default_beta,
     dyson_characteristic,
-    gate_function,
     k_simplex,
     pair_rate,
     sample_initial,
@@ -28,7 +27,7 @@ from kinwave.kinetic import (
     theta_plus,
     truncation_tail,
 )
-from kinwave.wigner import Observable
+from kinwave.wigner import Estimates, Observable
 
 C = couplings_nn(1.0)
 GRID = build_dispersion(C, 12)
@@ -279,7 +278,7 @@ def test_sample_initial_mass_and_support():
     rng = np.random.default_rng(5)
     ens = sample_initial(PACKET, 5000, TABLE, rng)
     assert ens.n == 5000
-    assert ens.weights.sum() == pytest.approx(PACKET.mass, rel=1e-12)
+    assert ens.mass == PACKET.mass
     # packet wavevectors concentrate near k0 (sigma = 0.5: spread ~ 1/(2 pi))
     k = ens.grid.k_of(ens.k_idx)
     spread = np.abs((k - np.array([0.125, 0.0, 0.0]) + 0.5) % 1.0 - 0.5)
@@ -296,9 +295,8 @@ def test_point_source_sampling_sits_at_the_origin():
 def test_simulate_conserves_mass_and_counts_collisions():
     rng = np.random.default_rng(7)
     ens = sample_initial(PACKET, 4000, TABLE, rng)
-    w_before = ens.weights.copy()
     out, counts = simulate(ens, TABLE, 0.8, rng)
-    np.testing.assert_array_equal(out.weights, w_before)
+    assert out.mass == ens.mass
     # mean collisions within 4 sigma of the rate range
     mean_rate = counts.mean() / 0.8
     assert TABLE.sigma_min - 0.1 <= mean_rate <= TABLE.sigma_max + 0.1
@@ -316,7 +314,8 @@ def test_characteristic_function_mass_channel():
 
 def _loo_jackknife(weights, z):
     """Reference: the explicit leave-one-out loop, one reweighted sum
-    (sum_{j != i} w_j z_j) * W / (W - w_i) per left-out particle i."""
+    (sum_{j != i} w_j z_j) * W / (W - w_i) per left-out particle i, over
+    the particle weights w of total W."""
     n = z.size
     total_w = weights.sum()
     loo = np.array([np.sum(np.delete(weights * z, i)) * total_w / (total_w - weights[i])
@@ -332,21 +331,18 @@ def test_jackknife_closed_form_matches_the_leave_one_out_loop(n):
     rng = np.random.default_rng(n)
     weights = np.full(n, 0.7 / n)
     z = 0.3 + np.exp(1j * rng.uniform(0.0, TWO_PI, n)) * rng.uniform(0.0, 1.0, n)
-    mean, se_re, se_im = kinetic._jackknife(weights, z)
+    est = Estimates.of([z], 0.7, n)
     ref_mean, ref_re, ref_im = _loo_jackknife(weights, z)
-    assert mean == ref_mean
-    assert se_re == pytest.approx(ref_re, rel=1e-12)
-    assert se_im == pytest.approx(ref_im, rel=1e-12)
+    assert est.mean[0] == pytest.approx(ref_mean, rel=1e-14)
+    assert est.stderr_re[0] == pytest.approx(ref_re, rel=1e-12)
+    assert est.stderr_im[0] == pytest.approx(ref_im, rel=1e-12)
 
 
-def test_jackknife_of_a_constant_column_is_zero_and_weights_must_be_uniform():
+def test_jackknife_of_a_constant_column_is_zero_and_needs_two_particles():
     rng = np.random.default_rng(8)
     ens = sample_initial(PACKET, 3000, TABLE, rng)
     est = characteristic_function(ens, [ZERO])
     assert est.stderr_re[0] == 0.0 and est.stderr_im[0] == 0.0
-    ens.weights[0] *= 2.0
-    with pytest.raises(ConfigError):
-        characteristic_function(ens, [ZERO])
     single = sample_initial(PACKET, 1, TABLE, rng)
     with pytest.raises(ConfigError):
         characteristic_function(single, [ZERO])
@@ -395,8 +391,6 @@ def test_theta_plus_approaches_half_the_rate():
     assert gaps[2] < 0.15
     with pytest.raises(ConfigError):
         theta_plus(GRID, k, 0.0)
-    with pytest.raises(ConfigError):
-        gate_function(GRID, k, 1.0 + 0.1j, 2, 1)
 
 
 def test_dyson_characteristic_small():
@@ -463,7 +457,7 @@ MIXED = [
 def _direct_characteristic(ens, observables):
     """Reference: one complex exponential of the full phase per observable."""
     k = ens.grid.k_of(ens.k_idx)
-    return [np.sum(ens.weights * np.exp(-1j * TWO_PI * (
+    return [ens.mass * np.mean(np.exp(-1j * TWO_PI * (
         ens.x @ np.asarray(o.p) - k @ np.asarray(o.n, dtype=np.float64))))
         for o in observables]
 
@@ -496,7 +490,7 @@ def _direct_dyson(initial, table, t_bar, observables, m_max, n_mc, rng):
             p, n = np.asarray(o.p), np.asarray(o.n, dtype=np.float64)
             phase = -(drift @ p) - TWO_PI * (ens.x @ p) + TWO_PI * (k @ n)
             totals[i] += base * np.exp(1j * phase)
-    return [np.sum(ens.weights * z) for z in totals]
+    return [ens.mass * np.mean(z) for z in totals]
 
 
 def test_kinetic_estimators_match_the_direct_phase_sum():
@@ -535,7 +529,7 @@ def _entry(est, i):
 def test_the_three_estimators_return_one_record():
     """The lattice average and both transport solvers return the same record,
     with one array entry per observable, in the caller's order."""
-    from kinwave.wigner import Estimates, RunConfig, disorder_average
+    from kinwave.wigner import RunConfig, disorder_average
 
     ens = sample_initial(PACKET, 2000, TABLE, np.random.default_rng(5))
     jump = characteristic_function(ens, MIXED)
@@ -576,25 +570,26 @@ def test_one_phase_pass_per_distinct_mode(monkeypatch):
 
 
 def test_dyson_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        dyson_characteristic(PACKET, TABLE, 0.5, [ZERO], m_max=-1)
+        dyson_characteristic(PACKET, TABLE, 0.5, [ZERO], -1, 1000, rng)
     with pytest.raises(ConfigError):
-        dyson_characteristic(PACKET, TABLE, 0.5, [ZERO], n_mc=10)
+        dyson_characteristic(PACKET, TABLE, 0.5, [ZERO], 4, 10, rng)
     with pytest.raises(ConfigError):
-        dyson_characteristic(PACKET, TABLE, -0.5, [ZERO])
+        dyson_characteristic(PACKET, TABLE, -0.5, [ZERO], 4, 1000, rng)
 
 
-def test_gate_function_matches_the_direct_grid_sum():
-    """The gate summed over distinct energies with their counts equals the
-    average over every grid point k'."""
+def test_theta_plus_matches_the_direct_grid_sum():
+    """The gate diagonal summed over distinct energies with their counts
+    equals the average over every grid point k'."""
     k = np.array([0.13, 0.4, 0.71])
     wk = float(C.omega(k))
     wp = GRID.omega_flat
-    for s1, s2, w in ((1, 1, wk + 0.05j), (1, -1, 2.0 + 0.3j), (-1, -1, -1.1 + 0.02j)):
+    for beta in (0.05, 0.3, 1.0):
+        w = wk + 1j * beta
         direct = sum(
-            np.sum(1j / (w - sp * wp) * ((wk + s1 * sp * wp) / 2.0)
-                   * ((wk + s2 * sp * wp) / 2.0))
+            np.sum(1j / (w - sp * wp) * ((wk + sp * wp) / 2.0) ** 2)
             for sp in (-1, 1)
-        ) * 0.7 / GRID.n_points
-        got = gate_function(GRID, k, w, s1, s2, xi2=0.7)
+        ) / GRID.n_points
+        got = theta_plus(GRID, k, beta)
         assert abs(got - direct) <= 1e-12 * abs(direct)

@@ -233,6 +233,41 @@ def test_one_estimate_record():
     assert declaring == ["wigner.Estimates"]
 
 
+def _calls_by_scope(tree, callee: str):
+    """The enclosing class and function names of every call to callee, by
+    bare name or as a module attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and callee in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_every_estimate_comes_from_one_reduction():
+    """Every Estimates record in the package is built by wigner.Estimates.of,
+    and a particle ensemble carries its mass, not a per-particle weight: its
+    only per-particle arrays are the positions and the wavevector indices."""
+    from dataclasses import fields
+
+    from kinwave.kinetic import ParticleEnsemble
+
+    builders = sorted(f"{name}.{scope}" for name, tree in _modules().items()
+                      for scope in _calls_by_scope(tree, "Estimates"))
+    assert builders == ["wigner.Estimates.of"]
+    arrays = {f.name for f in fields(ParticleEnsemble) if f.type == "np.ndarray"}
+    assert arrays == {"x", "k_idx"}
+    assert {f.name: f.type for f in fields(ParticleEnsemble)}["mass"] == "float"
+
+
 def test_tracer_reads_only_run_config_fields():
     """The benchmark tracer records, for each disorder_average call, the
     attributes it reads from the call's first argument, a RunConfig: every
