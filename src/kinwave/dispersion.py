@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FitError
+from .estimates import Estimates
 
 __all__ = [
     "TWO_PI",
@@ -457,8 +458,8 @@ def crossing_integral_estimate(
     beta: float,
     signs: tuple[int, int, int],
     u: tuple[float, float, float],
-    n_samples: int = 10_000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> CrossingEstimate:
     """Monte Carlo estimate of the three-denominator resolvent integral.
 
@@ -478,9 +479,10 @@ def crossing_integral_estimate(
     for kj, aj, sj in zip((k1, k2, k3), alpha, signs):
         wj = c.omega(kj)
         vals /= np.abs(aj - sj * wj + 1j * beta)
+    est = Estimates.of([vals], 1.0)
     return CrossingEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(n_samples)),
+        value=float(est.mean[0].real),
+        stderr=float(est.stderr_re[0]),
         beta=float(beta),
         n_samples=n_samples,
     )
@@ -492,8 +494,8 @@ def crossing_sweep(
     signs: tuple[int, int, int],
     u: tuple[float, float, float],
     betas: tuple[float, ...],
-    n_samples: int = 10_000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> tuple[list[CrossingEstimate], float, float]:
     """Estimate the integral over a beta ladder and fit the log-log growth exponent.
 

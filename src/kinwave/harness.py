@@ -54,6 +54,7 @@ from .dispersion import (
     find_critical_points,
 )
 from .errors import ConfigError, StabilityError
+from .estimates import Estimates
 from .initial import PointSource, WKBPacket, initial_from_obj, squared_radius
 from .kinetic import (
     build_collision_table,
@@ -89,7 +90,6 @@ from .moments import (
     verify_moment_mc,
 )
 from .wigner import (
-    Estimates,
     Observable,
     RunConfig,
     disorder_average,
@@ -435,7 +435,7 @@ def _run_rung(cfg: StudyConfig, rung_index: int, ref_means: list[complex],
     result = disorder_average(run, list(cfg.observables))
     est = result.estimates
     pair_t = result.pairing_t
-    pairing = Estimates.of([pair_t], 1.0, pair_t.size)
+    pairing = Estimates.of([pair_t], 1.0)
     means = est.mean.tolist()
     gaps = [abs(m - r) for m, r in zip(means, ref_means)]
     return EpsilonRung(

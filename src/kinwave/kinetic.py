@@ -13,13 +13,15 @@ pairs of omega shells, with the proposal shell drawn by guide-table lookup
 in O(1) expected steps (see ShellEnvelope).  Two solvers consume the same
 table: a jump-process simulator (free flight at group velocity
 grad omega / 2 pi, exponential waiting times, shell-envelope jumps) and a
-truncated collision-expansion evaluator whose m-th term integrates the same
-jump chain over the time simplex.  Initial packet positions are exact
-Gaussian draws, and an ensemble carries its total mass, shared equally by
-its particles, so both solvers' estimates are scaled sample means
-(wigner.Estimates.of).  The module also carries the spectral transport
-machinery: the gate diagonal whose real part recovers sigma/2, and the
-simplex kernels K_N.
+truncated collision-expansion evaluator whose m-th term flies the first m
+jumps of the same chain over the time simplex.  Both read an observable
+(p, n) through one phase, weight * exp(-i 2 pi (p.x - n.k)) (_phase_columns):
+the simulator at its evolved ensemble, the evaluator at each order's flown
+state.  Initial packet positions are exact Gaussian draws, and an ensemble
+carries its total mass, shared equally by its particles, so both solvers'
+estimates are scaled sample means (estimates.Estimates.of).  The module also
+carries the spectral transport machinery: the gate diagonal whose real part
+recovers sigma/2, and the simplex kernels K_N.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from .chebyshev import cheb_coeffs, cheb_nodes
 from .dispersion import TWO_PI, DispersionGrid
 from .errors import ConfigError, SamplingError
+from .estimates import Estimates
 from .initial import PointSource, WKBPacket
-from .wigner import Estimates
 
 __all__ = [
     "CollisionTable",
@@ -396,12 +398,6 @@ def _nonzero_modes(modes) -> list:
     return [v for v in dict.fromkeys(modes) if any(v)]
 
 
-def _position_phases(x: np.ndarray, observables) -> dict:
-    """exp(-i 2 pi p.x) for each distinct nonzero p of the observables."""
-    return {p: _expi(-TWO_PI * (x @ np.asarray(p)))
-            for p in _nonzero_modes(obs.p for obs in observables)}
-
-
 def _shift_tables(grid: DispersionGrid, observables) -> dict:
     """exp(i 2 pi n.k) on the flat grid for each distinct nonzero shift n.
 
@@ -421,25 +417,31 @@ def _shift_tables(grid: DispersionGrid, observables) -> dict:
     return tables
 
 
+def _phase_columns(observables, shifts: dict, x: np.ndarray, k_idx: np.ndarray,
+                   weight: np.ndarray):
+    """Yield the column weight_j exp(-i 2 pi (p.x_j - n.k_j)) over the
+    particles j for each observable (p, n): one cos/sin pass per distinct
+    nonzero p, scaled by the weight in place, and one gather by flat grid
+    index per distinct nonzero n from its table in shifts (_shift_tables),
+    so the trigonometric work scales with the distinct modes."""
+    position = {p: _expi(-TWO_PI * (x @ np.asarray(p)))
+                for p in _nonzero_modes(obs.p for obs in observables)}
+    for col in position.values():
+        col.real *= weight
+        col.imag *= weight
+    gathered = {n: tab[k_idx] for n, tab in shifts.items()}
+    for obs in observables:
+        xp, kn = position.get(obs.p, weight), gathered.get(obs.n)
+        yield xp if kn is None else xp * kn
+
+
 def characteristic_function(ens: ParticleEnsemble, observables) -> Estimates:
     """mass times the particle mean of exp(-i 2 pi (p.x_j - n.k_j)), with
-    its standard error, one observable column at a time.
-
-    The phase factors by mode: exp(-i 2 pi p.x) costs one cos/sin pass per
-    distinct nonzero p, and exp(i 2 pi n.k) is gathered by flat grid index
-    from a root-of-unity table per distinct nonzero n, so the trigonometric
-    work scales with the number of distinct modes, not of observables.
-    """
-    position = _position_phases(ens.x, observables)
-    shift = {n: tab[ens.k_idx] for n, tab in _shift_tables(ens.grid, observables).items()}
-
-    def column(obs) -> np.ndarray:
-        xp, kn = position.get(obs.p), shift.get(obs.n)
-        if xp is None and kn is None:
-            return np.ones(ens.n, dtype=np.complex128)
-        return kn if xp is None else xp if kn is None else xp * kn
-
-    return Estimates.of((column(obs) for obs in observables), ens.mass, ens.n)
+    its standard error, one observable column (_phase_columns at unit
+    weight) at a time."""
+    shifts = _shift_tables(ens.grid, observables)
+    columns = _phase_columns(observables, shifts, ens.x, ens.k_idx, np.ones(ens.n))
+    return Estimates.of(columns, ens.mass)
 
 
 def theta_plus(grid: DispersionGrid, k, beta: float) -> complex:
@@ -530,16 +532,12 @@ def dyson_characteristic(
 ) -> tuple[Estimates, float]:
     """Collision-expansion estimate of the transport characteristic function.
 
-    The m-th term runs the same jump chain as the simulator (each normalized
-    jump carries its total rate as weight) and integrates the m+1 flight
-    segments over the scaled time simplex by Monte Carlo (volume t^m / m!).
-
-    The phase exp(-i p.(2 pi x + drift) + i 2 pi n.k_m) factors by mode, as in
-    characteristic_function: each order pays one cos/sin pass per distinct
-    nonzero p for its flight drift and gathers exp(i 2 pi n.k_m) from the
-    root-of-unity table of each distinct nonzero n, built once per call.  The
-    position factor exp(-i 2 pi p.x) does not depend on the order and is
-    applied once, after the sum over orders.
+    The m-th term runs the same jump chain as the simulator and flies its
+    m + 1 segments for times r_j at a uniform point of the scaled time
+    simplex.  It is the shared phase (_phase_columns) at that flown state:
+    positions x + sum_j r_j grad omega(k_j) / 2 pi, the m-th grid index, and
+    weight prod_{j<m} sigma(k_j) exp(-sum_j r_j sigma(k_j)) t^m / m! (each
+    jump carries its total rate; t^m / m! is the simplex volume).
 
     Truncation at m_max is reported as a bound on the modulus of the missing
     sum, valid for every observable at once because each term's phase factor
@@ -557,59 +555,42 @@ def dyson_characteristic(
     if t_bar < 0.0:
         raise ConfigError("t_bar must be nonnegative")
     ens = sample_initial(initial, n_mc, table, rng)
-    sigma = table.sigma_flat
-    grad = table.grid.grad_flat
 
     # one extra jump beyond m_max feeds the leading-missing-term estimate
-    chain = [ens.k_idx]
-    for _ in range(m_max + 1):
-        chain.append(sample_jump(table, chain[-1], rng))
-    sig = [sigma[idx] for idx in chain]
-    gvel = [grad[idx] for idx in chain]
+    chain = np.empty((m_max + 2, n_mc), dtype=np.int64)
+    chain[0] = ens.k_idx
+    for m in range(1, m_max + 2):
+        chain[m] = sample_jump(table, chain[m - 1], rng)
+    sig = table.sigma_flat[chain]
+    vel = table.grid.grad_flat[chain]
 
     # orders 0..m_max enter the estimates; the last pass, q = m_max + 1, is
     # the leading missing term
     q = m_max + 1
-    flight_modes = _nonzero_modes(obs.p for obs in observables)
-    shift_tables = _shift_tables(table.grid, observables)
+    shifts = _shift_tables(table.grid, observables)
     totals = np.zeros((len(observables), n_mc), dtype=np.complex128)
     prefac = np.ones(n_mc)
     for m in range(q + 1):
-        if m == 0:
-            r = np.full((n_mc, 1), t_bar)
-        else:
-            prefac = prefac * sig[m - 1]
-            # spacings of the sorted uniforms, 0 and 1 included: the flight
-            # times of a uniform point of the time simplex
-            u = rng.random((n_mc, m))
-            u.sort(axis=1)
-            r = np.empty((n_mc, m + 1))
-            r[:, 0] = u[:, 0]
-            np.subtract(u[:, 1:], u[:, :-1], out=r[:, 1:m])
-            np.subtract(1.0, u[:, -1], out=r[:, m])
-            r *= t_bar
+        # spacings of the sorted uniforms, 0 and 1 included: the flight times
+        # of a uniform point of the time simplex (at m = 0, no draw and t_bar)
+        u = rng.random((n_mc, m))
+        u.sort(axis=1)
+        r = np.diff(u, prepend=0.0, append=1.0)
+        r *= t_bar
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
         if m == q:
             lead = ens.mass * float(np.mean(prefac * decay)) * t_bar**q / math.factorial(q)
             break
-        base = prefac * decay * (t_bar**m / math.factorial(m))
-        # flight displacement over the m + 1 segments, shared by every observable
-        drift = sum(r[:, j, None] * gvel[j] for j in range(m + 1))
-        flight = {p: base * _expi(-(drift @ np.asarray(p))) for p in flight_modes}
-        shift = {n: tab[chain[m]] for n, tab in shift_tables.items()}
-        for row, obs in zip(totals, observables):
-            term = flight.get(obs.p, base)
-            kn = shift.get(obs.n)
-            row += term if kn is None else term * kn
-    # exp(-i 2 pi p.x) does not depend on the order: one factor after the sum
-    position = _position_phases(ens.x, observables)
-    for row, obs in zip(totals, observables):
-        if obs.p in position:
-            row *= position[obs.p]
+        weight = prefac * decay * (t_bar**m / math.factorial(m))
+        flown = ens.x + sum(r[:, j, None] * vel[j] for j in range(m + 1)) / TWO_PI
+        for row, col in zip(totals, _phase_columns(observables, shifts, flown,
+                                                   chain[m], weight)):
+            row += col
+        prefac = prefac * sig[m]
 
     ratio = table.sigma_max * t_bar / (q + 1)
     if ratio < 1.0:
         tail = lead / (1.0 - ratio)
     else:                               # not contractive yet: crude factorial sum
         tail = initial.mass * truncation_tail(table.sigma_max * t_bar, m_max)
-    return Estimates.of(totals, ens.mass, n_mc), tail
+    return Estimates.of(totals, ens.mass), tail

@@ -17,6 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import ConfigError
+from .estimates import Estimates
 from .lattice import XI_BAR, draw_disorder
 
 __all__ = [
@@ -135,7 +136,7 @@ class MomentCheck:
 
 
 def verify_moment_mc(
-    index_map, distribution: str, n_samples: int = 1_000_000, seed: int = 0
+    index_map, distribution: str, n_samples: int, seed: int
 ) -> MomentCheck:
     """Monte Carlo check of the partition formula for one index pattern."""
     sites = list(index_map)
@@ -146,8 +147,9 @@ def verify_moment_mc(
     prod = np.ones(n_samples)
     for lab in sites:
         prod *= draws[:, columns[lab]]
-    mc_mean = float(prod.mean())
-    mc_se = float(prod.std(ddof=1) / np.sqrt(n_samples))
+    est = Estimates.of([prod], 1.0)
+    mc_mean = float(est.mean[0].real)
+    mc_se = float(est.stderr_re[0])
     exact = float(moment_via_partitions(sites, cumulants_of(distribution, len(sites))))
     z = (mc_mean - exact) / mc_se if mc_se > 0 else 0.0
     return MomentCheck(

@@ -34,6 +34,7 @@ import numpy as np
 
 from .dispersion import TWO_PI, Couplings
 from .errors import ConfigError, StabilityError
+from .estimates import Estimates
 from .initial import PointSource, WKBPacket
 from .lattice import (
     DisorderField,
@@ -52,7 +53,6 @@ from .lattice import (
 __all__ = [
     "Observable",
     "RunConfig",
-    "Estimates",
     "WignerResult",
     "f_transform",
     "f_row",
@@ -155,7 +155,7 @@ class RunConfig:
     distribution: str
     realizations: int
     initial: WKBPacket | PointSource
-    seed: int = 0
+    seed: int
     workers: int = 1
     pairing: object | None = None   # optional test function f(x) for energy pairing
     # the state that F and the norm are measured on.  "rescaled": each
@@ -187,48 +187,11 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class Estimates:
-    """Estimates of F(p, n), one entry per observable in the caller's order:
-    the record that the lattice average and both transport solvers return,
-    each through Estimates.of."""
-
-    mean: np.ndarray         # (n_obs,) complex
-    stderr_re: np.ndarray    # (n_obs,) standard error of the real part
-    stderr_im: np.ndarray    # (n_obs,) standard error of the imaginary part
-    count: int               # realizations or particles behind each mean
-
-    @staticmethod
-    def of(columns, scale: float, count: int) -> "Estimates":
-        """scale times the sample mean of each column of count samples, with
-        the standard error of the mean, std(ddof=1) / sqrt(count), of its
-        real and imaginary parts.  A sum over particles of equal weight
-        scale / count is such a mean, and its jackknife standard error is
-        this one (Efron 1982), so the lattice average (realization columns,
-        scale 1) and the transport solvers (particle columns, scale the
-        ensemble mass) share one reduction.  The columns are reduced one at a
-        time, so an iterable of them is never stacked; count is given, not
-        read off a column, because a run may have no observables."""
-        if count < 2:
-            raise ConfigError("a standard error needs at least two samples")
-        mean, se_re, se_im = [], [], []
-        for z in columns:
-            mean.append(z.mean())
-            se_re.append(z.real.std(ddof=1))
-            se_im.append(z.imag.std(ddof=1))
-        root = math.sqrt(count)
-        return Estimates(mean=np.array(mean, dtype=np.complex128) * scale,
-                         stderr_re=np.array(se_re, dtype=np.float64) / root * scale,
-                         stderr_im=np.array(se_im, dtype=np.float64) / root * scale,
-                         count=count)
-
-
-@dataclass(frozen=True)
 class WignerResult:
     estimates: Estimates
     n_dropped: int
     bound_ok: bool                 # |F(p,n)| <= F(0,0) held on every kept realization
-    max_bound_excess: float        # worst relative excess observed (<= fp noise when ok;
-                                   # -inf for a run with no observables)
+    max_bound_excess: float        # worst relative excess observed (<= fp noise when ok)
     norm_mean: float               # mean component norm F(0,0) across realizations
     # <f, energy density> at t_bar/eps per kept realization, for a run with a
     # test function f; None without one
@@ -287,18 +250,17 @@ def _one_realization(args) -> tuple:
 def disorder_average(config: RunConfig, observables: list[Observable]) -> WignerResult:
     """Average F over independent disorder realizations.
 
-    The observable list may be empty when the run has a pairing: each
-    realization then measures its norm and energy pairing only.  A
-    realization's F row and norm come from the convention's state, and its
-    pairing from the direct state of the same disorder draw.
+    The observable list must not be empty.  A realization's F row and norm
+    come from the convention's state, and its pairing from the direct state
+    of the same disorder draw.
     Realizations stream through one at a time (serial mode is bitwise
     reproducible); a blown-up realization is dropped with a warning, and more
     than 5% drops fail the whole run.  With workers > 1 the realizations are
     farmed to a process pool and reduced in index order, so the estimates do
     not depend on the worker count.
     """
-    if not observables and config.pairing is None:
-        raise ConfigError("need at least one observable or a pairing")
+    if not observables:
+        raise ConfigError("need at least one observable")
     psi_eps = initial_wavefunction(config.initial, config.L, config.eps)
     # q and the unscaled v are disorder-free; under the rescaled convention
     # each realization then rescales v by (1 + sqrt(eps) xi) so its wave
@@ -345,11 +307,11 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
 
     # |F(p,n)| <= F(0,0) must hold realization by realization
     excess = (np.abs(data) - norm_arr[:, None]) / norm_arr[:, None]
-    max_excess = float(excess.max(initial=-np.inf))
+    max_excess = float(excess.max())
     bound_ok = max_excess <= 1e-12
 
     return WignerResult(
-        estimates=Estimates.of(data.T, 1.0, len(rows)),
+        estimates=Estimates.of(data.T, 1.0),
         n_dropped=n_dropped,
         bound_ok=bound_ok,
         max_bound_excess=max_excess,

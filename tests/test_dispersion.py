@@ -167,10 +167,11 @@ def test_crossing_estimate_bounded_at_beta_one():
 def test_crossing_estimate_validation():
     c = couplings_nn(1.0)
     with pytest.raises(ConfigError):
-        crossing_integral_estimate(c, (0.1, 0.1, 0.1), 0.0, (1, 1, 1), (0, 0, 0))
+        crossing_integral_estimate(c, (0.1, 0.1, 0.1), 0.0, (1, 1, 1), (0, 0, 0),
+                                   n_samples=1000, seed=0)
     with pytest.raises(ConfigError):
         crossing_integral_estimate(c, (0.1, 0.1, 0.1), 0.5, (1, 1, 1), (0, 0, 0),
-                                   n_samples=10)
+                                   n_samples=10, seed=0)
 
 
 def test_crossing_sweep_exponent_above_minus_one():
@@ -184,7 +185,8 @@ def test_crossing_sweep_exponent_above_minus_one():
     assert len(ests) == 3
     assert expo > -1.0 + 5 * se
     with pytest.raises(ConfigError):
-        crossing_sweep(c, (0.1, 0.2, 0.3), (1, -1, 1), (0, 0, 0), betas=(0.1, 0.05))
+        crossing_sweep(c, (0.1, 0.2, 0.3), (1, -1, 1), (0, 0, 0), betas=(0.1, 0.05),
+                       n_samples=1000, seed=0)
 
 
 def test_deterministic_estimates():

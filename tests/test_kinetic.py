@@ -27,7 +27,8 @@ from kinwave.kinetic import (
     theta_plus,
     truncation_tail,
 )
-from kinwave.wigner import Estimates, Observable
+from kinwave.estimates import Estimates
+from kinwave.wigner import Observable
 
 C = couplings_nn(1.0)
 GRID = build_dispersion(C, 12)
@@ -331,7 +332,7 @@ def test_jackknife_closed_form_matches_the_leave_one_out_loop(n):
     rng = np.random.default_rng(n)
     weights = np.full(n, 0.7 / n)
     z = 0.3 + np.exp(1j * rng.uniform(0.0, TWO_PI, n)) * rng.uniform(0.0, 1.0, n)
-    est = Estimates.of([z], 0.7, n)
+    est = Estimates.of([z], 0.7)
     ref_mean, ref_re, ref_im = _loo_jackknife(weights, z)
     assert est.mean[0] == pytest.approx(ref_mean, rel=1e-14)
     assert est.stderr_re[0] == pytest.approx(ref_re, rel=1e-12)
@@ -346,6 +347,16 @@ def test_jackknife_of_a_constant_column_is_zero_and_needs_two_particles():
     single = sample_initial(PACKET, 1, TABLE, rng)
     with pytest.raises(ConfigError):
         characteristic_function(single, [ZERO])
+
+
+def test_estimates_read_the_count_off_the_columns():
+    """The count is the common length of the columns: columns of unequal
+    length, of fewer than two samples, or no column at all are refused."""
+    z = np.arange(5.0)
+    assert Estimates.of([z, z + 1j], 2.0).count == 5
+    for columns in ([], iter([]), [z, z[:4]], [z[:1]]):
+        with pytest.raises(ConfigError):
+            Estimates.of(columns, 1.0)
 
 
 def test_k_simplex_level_one_and_two():
@@ -548,8 +559,8 @@ def test_the_three_estimators_return_one_record():
 
 def test_one_phase_pass_per_distinct_mode(monkeypatch):
     """exp(i theta) over the particles is formed once per distinct nonzero p
-    (4 in DEFAULT_OBSERVABLES): once in characteristic_function, once per
-    order plus once for the positions in dyson_characteristic."""
+    (4 in DEFAULT_OBSERVABLES): once in characteristic_function, and once
+    per order at the flown state in dyson_characteristic."""
     calls = []
     expi = kinetic._expi
 
@@ -566,7 +577,7 @@ def test_one_phase_pass_per_distinct_mode(monkeypatch):
     m_max = 8
     dyson_characteristic(PACKET, TABLE, 0.5, DEFAULT_OBSERVABLES, m_max=m_max,
                          n_mc=1000, rng=np.random.default_rng(4))
-    assert len(calls) <= 4 * (m_max + 1) + 4
+    assert len(calls) == 4 * (m_max + 1)
 
 
 def test_dyson_validation():

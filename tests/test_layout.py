@@ -230,7 +230,7 @@ def test_one_estimate_record():
         and any(isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                 and stmt.target.id.startswith("stderr_") for stmt in node.body)
     )
-    assert declaring == ["wigner.Estimates"]
+    assert declaring == ["estimates.Estimates"]
 
 
 def _calls_by_scope(tree, callee: str):
@@ -253,7 +253,7 @@ def _calls_by_scope(tree, callee: str):
 
 
 def test_every_estimate_comes_from_one_reduction():
-    """Every Estimates record in the package is built by wigner.Estimates.of,
+    """Every Estimates record in the package is built by estimates.Estimates.of,
     and a particle ensemble carries its mass, not a per-particle weight: its
     only per-particle arrays are the positions and the wavevector indices."""
     from dataclasses import fields
@@ -262,10 +262,42 @@ def test_every_estimate_comes_from_one_reduction():
 
     builders = sorted(f"{name}.{scope}" for name, tree in _modules().items()
                       for scope in _calls_by_scope(tree, "Estimates"))
-    assert builders == ["wigner.Estimates.of"]
+    assert builders == ["estimates.Estimates.of"]
     arrays = {f.name for f in fields(ParticleEnsemble) if f.type == "np.ndarray"}
     assert arrays == {"x", "k_idx"}
     assert {f.name: f.type for f in fields(ParticleEnsemble)}["mass"] == "float"
+
+
+def _package_imports(tree) -> set:
+    """The kinwave modules that a module's source imports from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0
+                                                 or (node.module or "").startswith("kinwave")):
+            if node.module in (None, "kinwave"):
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.removeprefix("kinwave."))
+    return found
+
+
+def test_both_transport_solvers_share_one_phase():
+    """exp(i theta) over the particles is formed in one function, the phase
+    that the jump estimator reads at its ensemble and the Dyson series at
+    each order's flown state; and the transport side reaches neither the
+    lattice average nor the lattice, directly or through another module."""
+    modules = _modules()
+    expi = sorted(f"{name}.{scope}" for name, tree in modules.items()
+                  for scope in _calls_by_scope(tree, "_expi"))
+    assert expi == ["kinetic._phase_columns"]
+    assert sorted(_calls_by_scope(modules["kinetic"], "_phase_columns")) == [
+        "characteristic_function", "dyson_characteristic"]
+    reached, todo = set(), ["kinetic"]
+    while todo:
+        for name in _package_imports(modules[todo.pop()]) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert reached.isdisjoint({"wigner", "lattice"})
 
 
 def test_tracer_reads_only_run_config_fields():
