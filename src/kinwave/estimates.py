@@ -42,7 +42,8 @@ class Estimates:
                                   f"least 2 (got {count} and {len(z)})")
             mean.append(z.mean())
             se_re.append(z.real.std(ddof=1))
-            se_im.append(z.imag.std(ddof=1))
+            # z.imag of a real column would be a new column of zeros
+            se_im.append(z.imag.std(ddof=1) if np.iscomplexobj(z) else 0.0)
         if not count:
             raise ConfigError("no column to reduce")
         root = math.sqrt(count)

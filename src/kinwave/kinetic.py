@@ -417,13 +417,12 @@ def _shift_tables(grid: DispersionGrid, observables) -> dict:
     return tables
 
 
-def _phase_columns(observables, shifts: dict, x: np.ndarray, k_idx: np.ndarray,
-                   weight: np.ndarray):
-    """Yield the column weight_j exp(-i 2 pi (p.x_j - n.k_j)) over the
-    particles j for each observable (p, n): one cos/sin pass per distinct
-    nonzero p, scaled by the weight in place, and one gather by flat grid
-    index per distinct nonzero n from its table in shifts (_shift_tables),
-    so the trigonometric work scales with the distinct modes."""
+def _phase_columns(observables, shifts, x, k_idx, weight):
+    """Yield, for each observable (p, n), the column weight_j
+    exp(-i 2 pi (p.x_j - n.k_j)) over the particles j at positions x (n, 3),
+    flat grid indices k_idx and real weights: one cos/sin pass per distinct
+    nonzero p, scaled by the weight in place, and one gather per distinct
+    nonzero n from its table in shifts (_shift_tables)."""
     position = {p: _expi(-TWO_PI * (x @ np.asarray(p)))
                 for p in _nonzero_modes(obs.p for obs in observables)}
     for col in position.values():
@@ -557,12 +556,11 @@ def dyson_characteristic(
     ens = sample_initial(initial, n_mc, table, rng)
 
     # one extra jump beyond m_max feeds the leading-missing-term estimate
-    chain = np.empty((m_max + 2, n_mc), dtype=np.int64)
-    chain[0] = ens.k_idx
-    for m in range(1, m_max + 2):
-        chain[m] = sample_jump(table, chain[m - 1], rng)
+    chain = [ens.k_idx]
+    for _ in range(m_max + 1):
+        chain.append(sample_jump(table, chain[-1], rng))
     sig = table.sigma_flat[chain]
-    vel = table.grid.grad_flat[chain]
+    vel = table.grid.grad_flat[chain] / TWO_PI
 
     # orders 0..m_max enter the estimates; the last pass, q = m_max + 1, is
     # the leading missing term
@@ -575,14 +573,15 @@ def dyson_characteristic(
         # of a uniform point of the time simplex (at m = 0, no draw and t_bar)
         u = rng.random((n_mc, m))
         u.sort(axis=1)
-        r = np.diff(u, prepend=0.0, append=1.0)
+        r = np.append(u, np.ones((n_mc, 1)), axis=1)
+        r[:, 1:] -= u
         r *= t_bar
         decay = np.exp(-sum(r[:, j] * sig[j] for j in range(m + 1)))
         if m == q:
             lead = ens.mass * float(np.mean(prefac * decay)) * t_bar**q / math.factorial(q)
             break
         weight = prefac * decay * (t_bar**m / math.factorial(m))
-        flown = ens.x + sum(r[:, j, None] * vel[j] for j in range(m + 1)) / TWO_PI
+        flown = ens.x + sum(r[:, j, None] * vel[j] for j in range(m + 1))
         for row, col in zip(totals, _phase_columns(observables, shifts, flown,
                                                    chain[m], weight)):
             row += col
