@@ -351,9 +351,13 @@ def test_jackknife_of_a_constant_column_is_zero_and_needs_two_particles():
 
 def test_estimates_read_the_count_off_the_columns():
     """The count is the common length of the columns: columns of unequal
-    length, of fewer than two samples, or no column at all are refused."""
+    length, of fewer than two samples, or no column at all are refused.  A
+    real column reduces as the complex column with the same real part."""
     z = np.arange(5.0)
-    assert Estimates.of([z, z + 1j], 2.0).count == 5
+    est = Estimates.of([z, z + 1j], 2.0)
+    assert est.count == 5
+    assert est.stderr_re[0] == est.stderr_re[1] > 0.0
+    assert est.stderr_im.tolist() == [0.0, 0.0]
     for columns in ([], iter([]), [z, z[:4]], [z[:1]]):
         with pytest.raises(ConfigError):
             Estimates.of(columns, 1.0)
