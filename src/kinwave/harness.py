@@ -196,7 +196,8 @@ class StudyConfig:
         config.  Absent fields keep their defaults (couplings: those of
         DEFAULT_STUDY), keys that name no field are ignored, and numbers are
         coerced to each field's type, so 1 and 1.0 give the same config hash.
-        An integer field refuses a non-integral number such as 64.5."""
+        An integer field refuses a non-integral number such as 64.5, and a
+        field that does not decode is a ConfigError that names it."""
         kwargs = {"couplings": DEFAULT_STUDY.couplings}
         for f in fields(cls):
             if f.name in doc:
@@ -206,6 +207,8 @@ class StudyConfig:
                     kwargs[f.name] = decode(doc[f.name])
                 except ConfigError as exc:
                     raise ConfigError(f"{f.name}: {exc}") from None
+                except (LookupError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"{f.name}: malformed value: {exc!r}") from None
         return cls(**kwargs)
 
     def required_box(self, eps: float, max_group_speed: float) -> float:

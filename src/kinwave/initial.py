@@ -132,14 +132,17 @@ class PointSource:
 
 def initial_from_obj(obj: dict) -> WKBPacket | PointSource:
     """Inverse of WKBPacket.to_obj / PointSource.to_obj; amplitude defaults
-    to 1 and a point amplitude's imaginary part to 0."""
+    to 1 and a point amplitude's imaginary part to 0.  A type other than
+    "wkb" and "point" is refused."""
     if obj["type"] == "wkb":
         return WKBPacket(
             k0=tuple(float(x) for x in obj["k0"]),
             sigma=float(obj["sigma"]),
             amplitude=float(obj.get("amplitude", 1.0)),
         )
-    return PointSource.from_dict({
-        tuple(row["offset"]): complex(row["re"], row.get("im", 0.0))
-        for row in obj["amplitudes"]
-    })
+    if obj["type"] == "point":
+        return PointSource.from_dict({
+            tuple(row["offset"]): complex(row["re"], row.get("im", 0.0))
+            for row in obj["amplitudes"]
+        })
+    raise ConfigError(f"unknown initial data type {obj['type']!r}")

@@ -15,7 +15,8 @@ study ladders reach t_bar/eps with it in about t sqrt(Lambda) / 2 + 10 terms
 velocity fields that share the displacement field.  evolve is velocity
 Verlet, the integrator under test in the acceptance criteria 1-3 and the
 one behind `kinwave simulate`.  Both apply alpha * q in real space, as a
-periodic stencil over the finite-range coupling offsets: each offset is one
+periodic stencil over the finite-range coupling offsets: the couplings of
+the offsets that move no site form a diagonal, and each other offset is one
 contiguous shift of the flattened box, corrected exactly on the thin faces
 where that shift wraps across a row or a plane.  The stencil runs over the
 box one slab of whole planes (about 2^16 sites, so the box up to L = 40) at
@@ -163,11 +164,11 @@ def _as_slice(index: np.ndarray):
 
 def _slab_shift(shift: tuple, lo: int, hi: int, n: int) -> tuple:
     """A flat shift of _flat_shift on the destination sites [lo, hi) of a box
-    of n sites: (d, pieces, face, source), with pieces the (destination,
-    source) slices of tf[i] <- qf[i - d mod n], destinations and face counted
-    from lo and sources from 0, and face None where no face site falls in
-    the slab.  A face whose sites and sources are both arithmetic
-    progressions is given as two slices."""
+    of n sites: (pieces, face, source), with pieces the (destination, source)
+    slices of tf[i] <- qf[i - d mod n], destinations and face counted from
+    lo and sources from 0, and face None where no face site falls in the
+    slab.  A face whose sites and sources are both arithmetic progressions
+    is given as two slices."""
     d, face, source = shift
     start, size = (lo - d) % n, hi - lo
     head = min(size, n - start)
@@ -176,26 +177,30 @@ def _slab_shift(shift: tuple, lo: int, hi: int, n: int) -> tuple:
         pieces += ((slice(head, size), slice(0, size - head)),)
     inside = (face >= lo) & (face < hi)
     if not inside.any():
-        return d, pieces, None, None
+        return pieces, None, None
     face, source = face[inside] - lo, source[inside]
     as_slices = _as_slice(face), _as_slice(source)
     if all(isinstance(x, slice) for x in as_slices):
         face, source = as_slices
-    return d, pieces, face, source
+    return pieces, face, source
 
 
 @lru_cache(maxsize=16)
 def _stencil(c: Couplings, L: int) -> tuple:
-    """Shift plan of alpha * q on the box, one entry (lo, hi, groups) per slab
-    of _slabs: the offsets grouped by coupling value, so each distinct value
-    costs one multiply, with the groups of value +-1 last, where _convolve
-    adds them straight into its output; each shift is restricted to the slab
-    by _slab_shift."""
-    groups: dict[float, list] = {}
+    """Plan of alpha * q on the box: (centre, slabs), with centre the sum of
+    alpha(x) over the offsets x = 0 mod L (the shifts that move no site) and
+    slabs one entry (lo, hi, groups) per slab of _slabs.  The groups hold
+    the moving offsets by coupling value, so each distinct value costs one
+    multiply, with the groups of value +-1 last; each shift is restricted
+    to the slab by _slab_shift."""
+    centre, groups = 0.0, {}
     for offset, value in c.entries:
-        groups.setdefault(value, []).append(_flat_shift(offset, L))
+        if all(x % L == 0 for x in offset):
+            centre += value
+        else:
+            groups.setdefault(value, []).append(_flat_shift(offset, L))
     ordered = sorted(groups.items(), key=lambda group: abs(group[0]) == 1.0)
-    return tuple(
+    return centre, tuple(
         (lo, hi, tuple((value, tuple(_slab_shift(shift, lo, hi, L**3) for shift in shifts))
                        for value, shifts in ordered))
         for lo, hi in _slabs(L))
@@ -204,7 +209,7 @@ def _stencil(c: Couplings, L: int) -> tuple:
 def _write_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, value) -> None:
     """target_y = value * q_{(y - x) mod L} for one offset x of a slab plan,
     on the flattened field and the slab's target."""
-    _, pieces, face, source = shift
+    pieces, face, source = shift
     for dst, src in pieces:
         np.multiply(qf[src], value, out=tf[dst])
     if face is not None:
@@ -215,7 +220,7 @@ def _add_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, op) -> None:
     """target_y = op(target_y, q_{(y - x) mod L}) for one offset x of a slab
     plan, op np.add or np.subtract.  The face is formed exactly before the
     flat shift runs over it, and written back after."""
-    _, pieces, face, source = shift
+    pieces, face, source = shift
     fixed = op(tf[face], qf[source]) if face is not None else None
     for dst, src in pieces:
         target = tf[dst]
@@ -224,38 +229,38 @@ def _add_shift(qf: np.ndarray, tf: np.ndarray, shift: tuple, op) -> None:
         tf[face] = fixed
 
 
-def _convolve(q: np.ndarray, plan: tuple, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """out = (alpha * q)_y = sum_x alpha(x) q_{(y - x) mod L} on the sites of
-    consecutive slabs of a _stencil plan (the whole plan, or one slab of it),
-    one slab at a time; out holds those sites in order, and acc is a work
-    buffer of at least one slab.  Returns out.
+def _convolve(q: np.ndarray, slabs: tuple, diagonal: float | np.ndarray,
+              out: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """out_y = diagonal_y q_y + sum_x alpha(x) q_{(y - x) mod L} over the
+    moving offsets x, on the sites of consecutive slabs of a _stencil plan
+    (all of them, or one); out holds those sites in order, diagonal is a
+    scalar or one value per site of out, and acc is a work buffer of at
+    least one slab.  With the plan's centre as diagonal this is alpha * q.
+    Returns out.
 
-    A group of value +-1 is added or subtracted straight into out; any other
-    group is summed, scaled once and added through acc (the first group, or a
-    single offset, is written already scaled).  The value of a leading
-    single-offset group may also be the slab's part of a flat per-site array
-    (_with_diagonal).  Every site sees the same operations in the same order
+    Each slab starts from out = diagonal q.  A group of value +-1 is then
+    added or subtracted straight into out; any other group is summed,
+    scaled once and added through acc (a single offset is written already
+    scaled).  Every site sees the same operations in the same order
     whatever the slabs."""
     qf, of, af = q.reshape(-1), out.reshape(-1), acc.reshape(-1)
-    base = plan[0][0]
-    for lo, hi, groups in plan:
+    base = slabs[0][0]
+    for lo, hi, groups in slabs:
         tf, wf = of[lo - base: hi - base], af[: hi - lo]
-        if not groups:
-            tf.fill(0.0)
-        for g, (value, shifts) in enumerate(groups):
-            if g > 0 and abs(value) == 1.0:
+        np.multiply(qf[lo:hi], diagonal if np.ndim(diagonal) == 0
+                    else diagonal[lo - base: hi - base], out=tf)
+        for value, shifts in groups:
+            if abs(value) == 1.0:
                 op = np.add if value > 0.0 else np.subtract
                 for shift in shifts:
                     _add_shift(qf, tf, shift, op)
                 continue
-            target = tf if g == 0 else wf
-            _write_shift(qf, target, shifts[0], value if len(shifts) == 1 else 1.0)
+            _write_shift(qf, wf, shifts[0], value if len(shifts) == 1 else 1.0)
             for shift in shifts[1:]:
-                _add_shift(qf, target, shift, np.add)
-            if len(shifts) > 1 and value != 1.0:
-                target *= value
-            if g > 0:
-                tf += wf
+                _add_shift(qf, wf, shift, np.add)
+            if len(shifts) > 1:
+                wf *= value
+            tf += wf
     return out
 
 
@@ -281,8 +286,8 @@ def energy(state: LatticeState, disorder: DisorderField, eps: float, c: Coupling
     q = state.q
     mass = (1.0 + np.sqrt(eps) * disorder.xi) ** -2
     kinetic = 0.5 * float(np.sum(mass * state.v**2))
-    plan = _stencil(c, state.L)
-    force = _convolve(q, plan, np.empty(q.shape), np.empty(plan[0][1]))
+    centre, slabs = _stencil(c, state.L)
+    force = _convolve(q, slabs, centre, np.empty(q.shape), np.empty(slabs[0][1]))
     potential = 0.5 * float(np.sum(q * force))
     return kinetic + potential
 
@@ -325,13 +330,13 @@ def evolve(
         )
 
     kick = (-dt * dt) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2
-    plan = _stencil(c, L)
+    centre, slabs = _stencil(c, L)
     force = np.empty(kick.shape)
-    acc = np.empty(plan[0][1])
+    acc = np.empty(slabs[0][1])
 
     def dt2_accel(q: np.ndarray) -> np.ndarray:
         """dt^2 times the acceleration at q, written into the force buffer."""
-        return np.multiply(_convolve(q, plan, force, acc), kick, out=force)
+        return np.multiply(_convolve(q, slabs, centre, force, acc), kick, out=force)
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
     rem = t_final - n_steps * dt
@@ -396,26 +401,6 @@ def _propagator_series(t: float, lam: float) -> np.ndarray:
         deg *= 2
 
 
-def _with_diagonal(plan: tuple, diagonal: np.ndarray) -> tuple:
-    """Plan of (alpha + diag(diagonal)) q from the plan of alpha, slab by slab:
-    the offset 0 (the one shift that moves no site) leaves its group, and its
-    coupling value joins the diagonal in a leading group whose value is the
-    slab's part of one flat per-site array."""
-    centre = diagonal.reshape(-1).copy()
-    for value, shifts in plan[0][2]:
-        centre += value * sum(not shift[0] for shift in shifts)
-    slabs = []
-    for lo, hi, groups in plan:
-        identity = (0, ((slice(0, hi - lo), slice(lo, hi)),), None, None)
-        moving = []
-        for value, shifts in groups:
-            kept = tuple(shift for shift in shifts if shift[0])
-            if kept:
-                moving.append((value, kept))
-        slabs.append((lo, hi, ((centre[lo:hi], (identity,)), *moving)))
-    return tuple(slabs)
-
-
 # Chebyshev terms per accumulation: the terms of one block sit in a ring of
 # buffers and enter the sums through matrix products (larger blocks were no
 # faster at L = 64 and hold more memory)
@@ -448,9 +433,10 @@ def propagate(
     spectral_bound): the three-term recurrence T_{k+1} = 2 A T_k - T_{k-1}
     runs on the stack of chains (q0, v0, v0', ...) side by side, so the terms
     of cos(t sqrt K) q0 and of S q0 are formed once for every velocity, and
-    K S q0 takes one stencil more.  A term costs one stencil per chain, with
-    the -2 I of 2 A folded into its diagonal, one scaling pass and one
-    subtraction; no Fourier transform of the field enters.
+    K S q0 takes one stencil more.  A term costs one stencil per chain, whose
+    diagonal is the centre coupling minus 2 / w with w the per-site scaling,
+    so that the -2 I of 2 A enters with it; then one scaling pass and one
+    subtraction.  No Fourier transform of the field enters.
 
     Each term sweeps the box once, one slab of _slabs at a time: on a slab it
     applies the stencil of every chain to T_k into a slab-sized work buffer,
@@ -472,11 +458,11 @@ def propagate(
         return [LatticeState(q=q0.copy(), v=v0.copy()) for v0 in velocities]
     lam = spectral_bound(c, disorder, eps)
     cos_c, sinc_c = _propagator_series(t, lam)
-    plan = _stencil(c, q0.shape[0])
+    centre, slabs = _stencil(c, q0.shape[0])
     w = ((4.0 / lam) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2).reshape(-1)
-    shifted = _with_diagonal(plan, -2.0 / w)   # 2 A = w (alpha - 2 / w)
-    acc = np.empty(plan[0][1])
-    work = np.empty(plan[0][1])
+    diagonal = centre - 2.0 / w     # 2 A = w (alpha - 2 / w)
+    acc = np.empty(slabs[0][1])
+    work = np.empty(slabs[0][1])
 
     # the Chebyshev terms T_j on the chains (q0, v0, v0', ...) in a ring of
     # _BLOCK buffers; the sums cos q0 + S v0 for each v0, cos v0 for each v0,
@@ -504,14 +490,15 @@ def propagate(
         mixes = j % _BLOCK == _BLOCK - 1 or j == n_terms - 1
         if j == 0 and not mixes:
             continue
-        for slab in shifted:
+        for slab in slabs:
             lo, hi, _ = slab
             if j > 0:
                 # T_j = 2 A T_{j-1} - T_{j-2} and T_1 = A T_0 on this slab, one
                 # chain at a time through one work buffer
                 scaled = work[: hi - lo]
                 for chain in range(chains):
-                    _convolve(ring[(j - 1) % _BLOCK, chain], (slab,), scaled, acc)
+                    _convolve(ring[(j - 1) % _BLOCK, chain], (slab,), diagonal[lo:hi],
+                              scaled, acc)
                     scaled *= w[lo:hi]
                     out = ring[j % _BLOCK, chain, lo:hi]
                     if j == 1:
@@ -524,9 +511,9 @@ def propagate(
                     sums[:, piece] += mix[j // _BLOCK] @ flat[:, piece]
     # v(t) = cos v0 - K S q0, slab by slab
     xi = disorder.xi.reshape(-1)
-    for slab in plan:
+    for slab in slabs:
         lo, hi, _ = slab
-        ks = _convolve(sums[2 * m], (slab,), work[: hi - lo], acc)
+        ks = _convolve(sums[2 * m], (slab,), centre, work[: hi - lo], acc)
         ks *= (1.0 + np.sqrt(eps) * xi[lo:hi]) ** 2
         for i in range(m):
             np.subtract(sums[m + i, lo:hi], ks, out=sums[m + i, lo:hi])
@@ -621,7 +608,7 @@ def wkb_state(L: int, eps: float, envelope, phase) -> np.ndarray:
             f"envelope mass outside the box: {outside:.1%} (packet not tight)",
             stacklevel=2,
         )
-    return psi.astype(np.complex128)
+    return psi
 
 
 def envelope_mass_outside(L: int, eps: float, envelope) -> float:

@@ -15,9 +15,9 @@ t_bar/eps and in one stacked recurrence (lattice.propagate), the
 states it measures.  Both start from the same disorder-free displacement
 q0: the rescaled state inverts the disordered wave map exactly, the direct
 state keeps the substitution data (q0, v0).  Each state is mapped to psi
-once.  The run's convention picks the state that gives the row of F values
-(one shift product per distinct n) and the norm sum |psi|^2; when the run
-has a test function f, the direct state gives the energy pairing
+once.  The rescaled state gives the row of F values (one shift product per
+distinct n) and the norm sum |psi|^2; when the run has a test function f,
+the direct state, propagated only then, gives the energy pairing
 sum conj(f(eps y)) e_y with the site energy density e_y = 2 |psi_y|^2.
 """
 
@@ -28,7 +28,7 @@ import numbers
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,17 +158,14 @@ class RunConfig:
     seed: int
     workers: int = 1
     pairing: object | None = None   # optional test function f(x) for energy pairing
-    # the state that F and the norm are measured on.  "rescaled": each
-    # realization inverts the disordered wave map exactly, so F(0,0) is pinned
-    # to the wave norm.  "direct": all realizations start from the same
-    # disorder-free (q0, v0).  The energy pairing is always measured on the
-    # direct state, whose pairing carries the O(sqrt(eps)) conversion error
-    # of the substitution data.
-    convention: str = "rescaled"
+    # the state that F and the norm are measured on, not settable: each
+    # realization inverts the disordered wave map exactly, so F(0,0) is
+    # pinned to the wave norm.  The energy pairing is measured on the direct
+    # state, whose pairing carries the O(sqrt(eps)) conversion error of the
+    # substitution data.
+    convention: str = field(default="rescaled", init=False)
 
     def __post_init__(self):
-        if self.convention not in ("rescaled", "direct"):
-            raise ConfigError(f"unknown initial-data convention {self.convention!r}")
         if self.realizations < 2:
             raise ConfigError("need at least 2 disorder realizations")
         if self.t_bar < 0.0:
@@ -221,16 +218,12 @@ def _paired(weights: np.ndarray, density: np.ndarray):
 def _one_realization(args) -> tuple:
     config, observables, state0_q, v_base, weights, r = args
     field_r = sample_disorder(config.L, config.distribution, seed=(config.seed, r))
-    # the direct chain starts from the substitution data (q0, v_base); the
-    # rescaled one inverts the disordered wave map exactly, so it evolves the
-    # given wave data itself and F(0,0) stays pinned to its norm on every
-    # realization.  F and the norm are measured on the convention's state,
-    # the pairing on the direct one; one stacked propagation yields both
-    velocities = []
-    if weights is not None or config.convention == "direct":
-        velocities.append(v_base)
-    if config.convention == "rescaled":
-        velocities.append((1.0 + np.sqrt(config.eps) * field_r.xi) * v_base)
+    # the rescaled chain inverts the disordered wave map exactly, so it
+    # evolves the given wave data itself and F(0,0) stays pinned to its norm
+    # on every realization; with a pairing, the direct chain starts from the
+    # substitution data (q0, v_base) in the same stacked propagation
+    rescaled = (1.0 + np.sqrt(config.eps) * field_r.xi) * v_base
+    velocities = [rescaled] if weights is None else [v_base, rescaled]
     states = propagate(state0_q, velocities, field_r, config.eps,
                        config.couplings, config.t_bar / config.eps)
     psi_t = to_wavefunction(states[-1], field_r, config.eps, config.couplings)
@@ -239,11 +232,9 @@ def _one_realization(args) -> tuple:
     norm = float(np.sum(density))
     if weights is None:
         return row, norm, None
-    if len(states) > 1:
-        # free this field before the direct state is mapped
-        del psi_t, density
-        density = np.abs(to_wavefunction(states[0], field_r, config.eps,
-                                         config.couplings)) ** 2
+    # free this field before the direct state is mapped
+    del psi_t, density
+    density = np.abs(to_wavefunction(states[0], field_r, config.eps, config.couplings)) ** 2
     return row, norm, _paired(weights, density)
 
 
@@ -251,20 +242,19 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
     """Average F over independent disorder realizations.
 
     The observable list must not be empty.  A realization's F row and norm
-    come from the convention's state, and its pairing from the direct state
-    of the same disorder draw.
+    come from the rescaled state, and its pairing from the direct state of
+    the same disorder draw.
     Realizations stream through one at a time (serial mode is bitwise
     reproducible); a blown-up realization is dropped with a warning, and more
-    than 5% drops fail the whole run.  With workers > 1 the realizations are
-    farmed to a process pool and reduced in index order, so the estimates do
-    not depend on the worker count.
+    than 5% drops fail the whole run with a StabilityError.  With workers > 1
+    the realizations are farmed to a process pool and reduced in index order,
+    so the estimates do not depend on the worker count.
     """
     if not observables:
         raise ConfigError("need at least one observable")
     psi_eps = initial_wavefunction(config.initial, config.L, config.eps)
-    # q and the unscaled v are disorder-free; under the rescaled convention
-    # each realization then rescales v by (1 + sqrt(eps) xi) so its wave
-    # variables start at psi_eps exactly
+    # q and the unscaled v are disorder-free; each realization then rescales
+    # v by (1 + sqrt(eps) xi) so its wave variables start at psi_eps exactly
     state0 = from_wavefunction(psi_eps, config.couplings)
     weights = (None if config.pairing is None
                else _pairing_weights(config.pairing, config.L, config.eps))
@@ -299,7 +289,7 @@ def disorder_average(config: RunConfig, observables: list[Observable]) -> Wigner
             consume(_guarded_realization(task))
 
     if n_dropped > 0.05 * config.realizations:
-        raise RuntimeError(
+        raise StabilityError(
             f"{n_dropped}/{config.realizations} realizations dropped; run failed"
         )
     data = np.array(rows)                      # (R, n_obs)

@@ -462,6 +462,28 @@ def test_study_from_obj_refuses_non_integral_integers():
             StudyConfig.from_obj(doc)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("initial", {"type": "gauss", "k0": [0.125, 0.0, 0.0], "sigma": 0.5}),
+    ("initial", {"type": "wkb", "k0": [0.125, 0.0, 0.0]}),
+    ("initial", {"type": "point", "amplitudes": [{"offset": [0, 0, 0]}]}),
+    ("initial", 5),
+    ("observables", [[[0.0, 0.0, 0.0]]]),
+    ("observables", 5),
+    ("epsilons", 0.5),
+    ("box_sizes", 64),
+    ("t_bar", "half"),
+    ("beta", None),
+], ids=["unknown_type", "wkb_without_sigma", "point_without_re", "initial_number",
+        "one_element_observable", "observables_number", "epsilons_number",
+        "box_sizes_number", "t_bar_word", "beta_null"])
+def test_study_from_obj_refuses_a_malformed_field_by_name(name, value):
+    """A field that does not decode is a ConfigError naming the field, never
+    a raw KeyError, IndexError or TypeError; an unknown initial-data type is
+    refused, not read as point data."""
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        StudyConfig.from_obj({"master_seed": 7, name: value})
+
+
 def test_study_to_obj_round_trips():
     cfg = StudyConfig(
         couplings=C, distribution="uniform",

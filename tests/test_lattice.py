@@ -155,17 +155,30 @@ def spectral_convolution(q: np.ndarray, c: Couplings) -> np.ndarray:
     return np.fft.irfftn(alpha_r * np.fft.rfftn(q), q.shape, axes=(0, 1, 2))
 
 
-def stencil_convolution(q: np.ndarray, c: Couplings) -> np.ndarray:
-    return _convolve(q, _stencil(c, q.shape[0]), np.empty_like(q), np.empty_like(q))
+def stencil_convolution(q: np.ndarray, c: Couplings, diagonal=None) -> np.ndarray:
+    """alpha * q through the stencil plan; with a per-site diagonal, the
+    plan's centre coupling replaced by it."""
+    centre, slabs = _stencil(c, q.shape[0])
+    diagonal = centre if diagonal is None else diagonal.reshape(-1)
+    return _convolve(q, slabs, diagonal, np.empty_like(q), np.empty_like(q))
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_SETS))
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 8])
 def test_stencil_equals_spectral_convolution(name, L):
+    """The plan's centre sums alpha(x) over every offset x = 0 mod L, which
+    is the mean of alpha_hat over the box grid; with a per-site diagonal in
+    its place the stencil is the spectral convolution plus
+    (diagonal - centre) q."""
     c = COUPLING_SETS[name]
-    q = np.random.default_rng(L).normal(size=(L, L, L))
+    rng = np.random.default_rng(L)
+    q = rng.normal(size=(L, L, L))
     ref = spectral_convolution(q, c)
     got = stencil_convolution(q, c)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    diagonal = rng.normal(size=(L, L, L))
+    ref = ref + (diagonal - symbol(c, L).mean()) * q
+    got = stencil_convolution(q, c, diagonal)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

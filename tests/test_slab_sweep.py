@@ -46,12 +46,18 @@ COUPLINGS = {"nn": couplings_nn(1.0), "nn_squared": couplings_nn_squared(1.0),
 
 # -- the whole-box reference ------------------------------------------------
 
-def reference_groups(c: Couplings, L: int) -> list:
-    """The offsets as whole-box flat shifts, grouped by value, +-1 last."""
-    groups: dict[float, list] = {}
+def reference_groups(c: Couplings, L: int) -> tuple:
+    """(centre, groups): the couplings of the offsets that move no site
+    summed, and the other offsets as whole-box flat shifts, grouped by
+    value, +-1 last."""
+    centre, groups = 0.0, {}
     for offset, value in c.entries:
-        groups.setdefault(value, []).append(_flat_shift(offset, L))
-    return sorted(groups.items(), key=lambda group: abs(group[0]) == 1.0)
+        d, face, source = _flat_shift(offset, L)
+        if d == 0 and face.size == 0:
+            centre += value
+        else:
+            groups.setdefault(value, []).append((d, face, source))
+    return centre, sorted(groups.items(), key=lambda group: abs(group[0]) == 1.0)
 
 
 def _shift(qf, tf, shift, op, value=1.0):
@@ -73,37 +79,24 @@ def _shift(qf, tf, shift, op, value=1.0):
         tf[face] = op(saved, qf[source])
 
 
-def reference_convolution(q, groups, out):
+def reference_convolution(q, diagonal, groups, out):
+    """diagonal q plus the moving groups, +-1 straight in, others through a
+    box-sized accumulator."""
     qf, of = q.reshape(-1), out.reshape(-1)
     acc = np.empty_like(of)
-    if not groups:
-        of.fill(0.0)
-    for g, (value, shifts) in enumerate(groups):
-        if g > 0 and abs(value) == 1.0:
+    np.multiply(qf, diagonal, out=of)
+    for value, shifts in groups:
+        if abs(value) == 1.0:
             for shift in shifts:
                 _shift(qf, of, shift, np.add if value > 0.0 else np.subtract)
             continue
-        target = of if g == 0 else acc
-        _shift(qf, target, shifts[0], None, value if len(shifts) == 1 else 1.0)
+        _shift(qf, acc, shifts[0], None, value if len(shifts) == 1 else 1.0)
         for shift in shifts[1:]:
-            _shift(qf, target, shift, np.add)
-        if len(shifts) > 1 and value != 1.0:
-            target *= value
-        if g > 0:
-            of += acc
+            _shift(qf, acc, shift, np.add)
+        if len(shifts) > 1:
+            acc *= value
+        of += acc
     return out
-
-
-def reference_with_diagonal(groups, diagonal):
-    centre = diagonal.reshape(-1).copy()
-    moving = []
-    for value, shifts in groups:
-        kept = [shift for shift in shifts if shift[0]]
-        centre += value * (len(shifts) - len(kept))
-        if kept:
-            moving.append((value, kept))
-    identity = (0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-    return [(centre, [identity]), *moving]
 
 
 def reference_propagate(q0, velocities, disorder, eps, c, t):
@@ -111,10 +104,10 @@ def reference_propagate(q0, velocities, disorder, eps, c, t):
     block_size, chunk = 2, 2**15
     lam = spectral_bound(c, disorder, eps)
     cos_c, sinc_c = lattice._propagator_series(t, lam)
-    groups = reference_groups(c, q0.shape[0])
+    centre, groups = reference_groups(c, q0.shape[0])
     msq = (1.0 + np.sqrt(eps) * disorder.xi) ** 2
     w = (4.0 / lam) * msq
-    shifted = reference_with_diagonal(groups, -2.0 / w)
+    diagonal = (centre - 2.0 / w).reshape(-1)
     work = np.empty(msq.shape)
     m = len(velocities)
     chains = 1 + m
@@ -137,7 +130,8 @@ def reference_propagate(q0, velocities, disorder, eps, c, t):
     for j in range(n_terms):
         if j > 0:
             for chain in range(chains):
-                reference_convolution(ring[(j - 1) % block_size, chain], shifted, work)
+                reference_convolution(ring[(j - 1) % block_size, chain], diagonal, groups,
+                                      work)
                 work *= w
                 out = ring[j % block_size, chain]
                 if j == 1:
@@ -148,7 +142,7 @@ def reference_propagate(q0, velocities, disorder, eps, c, t):
             for lo in range(0, msq.size, chunk):
                 piece = slice(lo, lo + chunk)
                 sums[:, piece] += mix[j // block_size] @ flat[:, piece]
-    ks = reference_convolution(sums[2 * m].reshape(msq.shape), groups, work)
+    ks = reference_convolution(sums[2 * m].reshape(msq.shape), centre, groups, work)
     ks *= msq
     return [LatticeState(q=sums[i].reshape(msq.shape),
                          v=(sums[m + i] - ks.reshape(-1)).reshape(msq.shape))
@@ -159,11 +153,11 @@ def reference_evolve(state, disorder, eps, c, t_final, dt):
     """Velocity Verlet with merged kicks, as evolve runs it, on the
     whole-box stencil."""
     kick = (-dt * dt) * (1.0 + np.sqrt(eps) * disorder.xi) ** 2
-    groups = reference_groups(c, state.L)
+    centre, groups = reference_groups(c, state.L)
     force = np.empty(kick.shape)
 
     def dt2_accel(q):
-        return np.multiply(reference_convolution(q, groups, force), kick, out=force)
+        return np.multiply(reference_convolution(q, centre, groups, force), kick, out=force)
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
     rem = t_final - n_steps * dt
@@ -214,7 +208,7 @@ def test_evolve_and_energy_keep_the_flat_shift_arithmetic(name):
     d = sample_disorder(L, "rademacher", seed=5)
     q, v = _fields(L, 2, 29)
     state = LatticeState(q=q, v=v)
-    force = reference_convolution(q, reference_groups(c, L), np.empty(q.shape))
+    force = reference_convolution(q, *reference_groups(c, L), np.empty(q.shape))
     kinetic = 0.5 * float(np.sum((1.0 + np.sqrt(eps) * d.xi) ** -2 * v**2))
     assert energy(state, d, eps, c) == kinetic + 0.5 * float(np.sum(q * force))
     dt = 0.01
@@ -224,17 +218,20 @@ def test_evolve_and_energy_keep_the_flat_shift_arithmetic(name):
 
 
 def test_stencil_faces_of_z_offsets_are_slices():
-    """The face of a +-z offset, one site per row, is applied through a
-    strided slice; a +-y face, whole rows, through an index array."""
-    plan = _stencil(couplings_nn(1.0), 16)
-    (lo, hi, groups), = plan
-    faces = {}
-    for _, shifts in groups:
-        for d, _, face, _ in shifts:
-            faces[d] = face
-    assert isinstance(faces[1], slice) and faces[1].step == 16
-    assert isinstance(faces[16**3 - 1], slice)
-    assert isinstance(faces[16], np.ndarray) and faces[0] is None
+    """The centre coupling leaves the shifts and becomes the plan's centre.
+    The face of a +-z offset, one site per row, is applied through a strided
+    slice; a +-y face, whole rows, through an index array; a +-x shift, whole
+    planes, has none."""
+    c = couplings_nn(1.0)
+    centre, ((lo, hi, groups),) = _stencil(c, 16)
+    assert centre == dict(c.entries)[(0, 0, 0)] and (lo, hi) == (0, 16**3)
+    ((value, shifts),) = groups
+    offsets = [offset for offset, _ in c.entries if any(offset)]
+    assert value == -1.0 and len(shifts) == len(offsets) == 6
+    faces = {offset: face for offset, (_, face, _) in zip(offsets, shifts)}
+    assert isinstance(faces[(0, 0, 1)], slice) and faces[(0, 0, 1)].step == 16
+    assert isinstance(faces[(0, 0, -1)], slice)
+    assert isinstance(faces[(0, 1, 0)], np.ndarray) and faces[(1, 0, 0)] is None
 
 
 def test_propagate_holds_no_box_sized_temporary(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from kinwave.dispersion import couplings_nn
 from kinwave import wigner
-from kinwave.errors import ConfigError
+from kinwave.errors import ConfigError, StabilityError
+from kinwave.estimates import Estimates
 from kinwave.initial import WKBPacket
 from kinwave.lattice import from_wavefunction, propagate, sample_disorder, to_wavefunction
 from kinwave.wigner import (
@@ -117,8 +118,9 @@ def run_config(**kw):
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        run_config(convention="sideways")
+    """Invalid values are config errors; the measured state is not settable."""
+    with pytest.raises(TypeError):
+        run_config(convention="direct")
     with pytest.raises(ConfigError):
         run_config(realizations=1)
     with pytest.raises(ConfigError):
@@ -165,10 +167,12 @@ def test_rescaled_convention_pins_the_norm():
 
 def test_direct_convention_spreads_the_norm():
     # substitution data: the same (q0, v0) meets different masses, so the
-    # component norm genuinely fluctuates across realizations
-    res = disorder_average(run_config(convention="direct"), MODES)
-    est = res.estimates
-    assert est.stderr_re[0] > 1e-6 * abs(est.mean[0].real)
+    # component norm of the direct state genuinely fluctuates across
+    # realizations; paired with f = 1 it is half the pairing
+    res = disorder_average(run_config(pairing=one), MODES)
+    direct_norm = res.pairing_t / 2.0
+    assert direct_norm.std(ddof=1) > 1e-6 * abs(direct_norm.mean())
+    assert res.estimates.stderr_re[0] < 1e-4 * res.estimates.mean[0].real
 
 
 def test_estimates_deterministic():
@@ -182,11 +186,14 @@ def bump(x):
     return np.exp(-0.5 * np.sum(x * x, axis=-1))
 
 
+def one(x):
+    return np.ones(x.shape[:-1])
+
+
 def test_one_wave_map_per_realization(monkeypatch):
-    """A realization maps each state it propagated to psi once: with the
-    direct convention one state gives F, the norm and the energy pairing;
-    with the rescaled one, the rescaled state gives F and the norm and the
-    direct state of the same draw the pairing."""
+    """A realization maps each state it propagated to psi once: the
+    rescaled state gives F and the norm and, with a pairing, the direct
+    state of the same draw the pairing."""
     calls = []
 
     def counting(*args):
@@ -194,10 +201,6 @@ def test_one_wave_map_per_realization(monkeypatch):
         return to_wavefunction(*args)
 
     monkeypatch.setattr(wigner, "to_wavefunction", counting)
-    res = disorder_average(run_config(convention="direct", pairing=bump), MODES)
-    assert len(calls) == 4
-    assert res.pairing_t.shape == (4,)
-    calls.clear()
     res = disorder_average(run_config(pairing=bump), MODES)
     assert len(calls) == 8
     assert res.pairing_t.shape == (4,)
@@ -206,10 +209,21 @@ def test_one_wave_map_per_realization(monkeypatch):
     assert len(calls) == 4
 
 
+def direct_states(config):
+    """The direct state of each realization at t_bar/eps, propagated as a
+    run with a pairing does: stacked with the rescaled velocity, first."""
+    state0 = from_wavefunction(initial_wavefunction(PACKET, config.L, config.eps), C)
+    for r in range(config.realizations):
+        d = sample_disorder(config.L, config.distribution, seed=(config.seed, r))
+        velocities = [state0.v, (1.0 + np.sqrt(config.eps) * d.xi) * state0.v]
+        yield propagate(state0.q, velocities, d, config.eps, C,
+                        config.t_bar / config.eps)[0], d
+
+
 def test_pairing_run_measures_both_states_of_one_draw(monkeypatch):
-    """A rescaled run with a pairing draws each disorder field once and takes
-    the F row from its rescaled state and the pairing from its direct state:
-    R draws, not one set per measurement."""
+    """A run with a pairing draws each disorder field once and takes the F
+    row from its rescaled state and the pairing from its direct state: R
+    draws, not one set per measurement."""
     draws = []
 
     def counting(*args, **kwargs):
@@ -220,32 +234,67 @@ def test_pairing_run_measures_both_states_of_one_draw(monkeypatch):
     config = run_config(pairing=bump)
     res = disorder_average(config, MODES)
     assert draws == [(config.seed, r) for r in range(config.realizations)]
-    # F and the norm as a run without a pairing measures them, the pairing
-    # as a direct run measures it, to rounding
+    # F and the norm as a run without a pairing measures them, to rounding,
+    # and the pairing of each draw's direct state
     rescaled = disorder_average(run_config(), MODES)
-    direct = disorder_average(run_config(convention="direct", pairing=bump), MODES)
-    assert len(draws) == 3 * config.realizations
+    assert len(draws) == 2 * config.realizations
     assert np.allclose(res.estimates.mean, rescaled.estimates.mean, rtol=1e-13, atol=0.0)
     assert res.norm_mean == pytest.approx(rescaled.norm_mean, rel=1e-13)
-    assert np.allclose(res.pairing_t, direct.pairing_t, rtol=1e-13, atol=0.0)
+    assert res.pairing_t.tolist() == [
+        energy_density_pairing(state, d, config.eps, C, bump)
+        for state, d in direct_states(config)]
 
 
 def test_pairing_matches_energy_density_pairing_and_workers():
     """The pairing each realization measures is energy_density_pairing of
-    its propagated state, and a process pool reproduces the serial run
-    bitwise."""
-    config = run_config(convention="direct", pairing=bump)
+    its propagated direct state, and a process pool reproduces the serial
+    run bitwise."""
+    config = run_config(pairing=bump)
     serial = disorder_average(config, MODES)
     pooled = disorder_average(replace(config, workers=2), MODES)
     assert pooled.estimates.mean.tolist() == serial.estimates.mean.tolist()
     assert pooled.norm_mean == serial.norm_mean
     assert pooled.pairing_t.tolist() == serial.pairing_t.tolist()
 
-    psi0 = initial_wavefunction(PACKET, config.L, config.eps)
-    state0 = from_wavefunction(psi0, C)
-    d = sample_disorder(config.L, config.distribution, seed=(config.seed, 0))
-    (state_t,) = propagate(state0.q, [state0.v], d, config.eps, C, config.t_bar / config.eps)
+    state_t, d = next(direct_states(config))
     assert serial.pairing_t[0] == energy_density_pairing(state_t, d, config.eps, C, bump)
+
+
+def test_more_than_five_percent_drops_fail_the_run(monkeypatch):
+    """A realization whose propagation blows up is dropped with a warning
+    and the estimates come from the others; more than 5% drops (2 of 20)
+    fail the run with a StabilityError, a runtime failure."""
+    config = run_config(realizations=20)
+    rows = []
+
+    def recording(*args):
+        rows.append(f_row(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(wigner, "f_row", recording)
+    disorder_average(config, MODES)
+    all_rows = list(rows)
+
+    def blowing_up_at(dropped):
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) - 1 in dropped:
+                raise StabilityError("field blew up during propagation")
+            return propagate(*args)
+        return flaky
+
+    monkeypatch.setattr(wigner, "propagate", blowing_up_at({5}))
+    with pytest.warns(UserWarning, match="dropped realization"):
+        res = disorder_average(config, MODES)
+    assert res.n_dropped == 1 and res.estimates.count == 19
+    kept = np.array(all_rows[:5] + all_rows[6:])
+    assert res.estimates.mean.tolist() == Estimates.of(kept.T, 1.0).mean.tolist()
+
+    monkeypatch.setattr(wigner, "propagate", blowing_up_at({3, 11}))
+    with pytest.warns(UserWarning), pytest.raises(StabilityError, match="2/20"):
+        disorder_average(config, MODES)
 
 
 def test_unpicklable_pairing_with_workers_is_refused_before_any_pool(monkeypatch):
